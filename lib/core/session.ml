@@ -34,9 +34,9 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Ode_error msg)) fmt
 
 type store_kind = [ `Disk | `Mem ]
 
-type backend =
-  | Disk_backend of Disk_store.t * Disk_store.t
-  | Mem_backend of Mem_store.t * Mem_store.t
+(* The disk stores' physical configuration; a crash image carries it so a
+   recovered environment runs on the same pool and pages. *)
+type disk_config = { page_size : int option; pool_capacity : int option; io_spin : int option }
 
 type monitor = {
   m_fsm : Ode_event.Fsm.t;
@@ -57,7 +57,7 @@ type obj_handle = Persistent of Oid.t | Volatile of vobj
 
 type t = {
   kind : store_kind;
-  backend : backend;
+  disk : disk_config;
   faults : Faults.t;
   mgr : Txn.mgr;
   obj_store : Store.t;
@@ -135,11 +135,11 @@ let intern t = t.intern
 (* ------------------------------------------------------------------ *)
 (* Construction. *)
 
-let assemble ?engine ?intern ~kind ~backend ~faults ~mgr ~obj_store ~trig_store ~db () =
+let assemble ?engine ?intern ~kind ~disk ~faults ~mgr ~obj_store ~trig_store ~db () =
   let intern = match intern with Some i -> i | None -> Intern.create () in
   {
     kind;
-    backend;
+    disk;
     faults;
     mgr;
     obj_store;
@@ -172,34 +172,24 @@ let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush
      I/O-point number, so a fault plan addresses any of them. *)
   let faults = match faults with Some f -> f | None -> Faults.create () in
   let rid_base, rid_stride = shard_params shard in
-  let backend, obj_store, trig_store =
+  let make ?rid_base ?rid_stride name =
     match store with
     | `Disk ->
-        let objects =
-          Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-            ?durability ~faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
-            ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"objects" ()
-        in
-        let triggers =
-          Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-            ?durability ~faults ?wal_segment_bytes ?ckpt_full_every
-            ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"triggers" ()
-        in
-        (Disk_backend (objects, triggers), Disk_store.ops objects, Disk_store.ops triggers)
+        Disk_store.ops
+          (Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
+             ?durability ~faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
+             ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name ())
     | `Mem ->
-        let objects =
-          Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
-            ~name:"objects" ()
-        in
-        let triggers =
-          Mem_store.create ?flush_spin ?flush_sleep ?durability ?wal_segment_bytes
-            ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"triggers" ()
-        in
-        (Mem_backend (objects, triggers), Mem_store.ops objects, Mem_store.ops triggers)
+        Mem_store.ops
+          (Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
+             ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name
+             ())
   in
+  let obj_store = make ?rid_base ?rid_stride "objects" in
+  let trig_store = make "triggers" in
   let db = Database.create ~mgr ~store:obj_store ~name:"main" in
-  assemble ?engine ?intern ~kind:store ~backend ~faults ~mgr ~obj_store ~trig_store ~db ()
+  assemble ?engine ?intern ~kind:store ~disk:{ page_size; pool_capacity; io_spin } ~faults ~mgr
+    ~obj_store ~trig_store ~db ()
 
 let durability t = Commit_pipeline.mode t.obj_store.Store.pipeline
 
@@ -1139,7 +1129,12 @@ end
 (* ------------------------------------------------------------------ *)
 (* Durability. *)
 
-type crash_image = { ci_kind : store_kind; ci_obj_wal : bytes; ci_trig_wal : bytes }
+type crash_image = {
+  ci_kind : store_kind;
+  ci_disk : disk_config;
+  ci_obj_wal : bytes;
+  ci_trig_wal : bytes;
+}
 
 (* Quiesce-then-checkpoint: with no uncommitted writes in flight the
    checkpoint runs immediately; otherwise it is deferred to the next
@@ -1169,14 +1164,9 @@ let checkpoint_pending t = t.ckpt_pending
 let crash t =
   let ci_obj_wal = Wal.durable_bytes t.obj_store.Store.wal in
   let ci_trig_wal = Wal.durable_bytes t.trig_store.Store.wal in
-  (match t.backend with
-  | Disk_backend (objects, triggers) ->
-      Disk_store.crash objects;
-      Disk_store.crash triggers
-  | Mem_backend (objects, triggers) ->
-      Mem_store.crash objects;
-      Mem_store.crash triggers);
-  { ci_kind = t.kind; ci_obj_wal; ci_trig_wal }
+  t.obj_store.Store.crash ();
+  t.trig_store.Store.crash ();
+  { ci_kind = t.kind; ci_disk = t.disk; ci_obj_wal; ci_trig_wal }
 
 type recovery_report = { rr_obj_tail : int; rr_trig_tail : int }
 
@@ -1189,38 +1179,26 @@ let recover ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine
   let mgr = Txn.create_mgr () in
   let faults = match faults with Some f -> f | None -> Faults.create () in
   let rid_base, rid_stride = shard_params shard in
-  let backend, obj_store, trig_store =
+  let { page_size; pool_capacity; io_spin } = image.ci_disk in
+  let recover ?rid_base ?rid_stride name wal_bytes =
     match image.ci_kind with
     | `Disk ->
-        let objects =
-          Recovery.recover_disk ?flush_spin ?flush_sleep ?durability ~faults ?rid_base
-            ?rid_stride ?wal_segment_bytes ?ckpt_full_every
-            ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"objects"
-            ~wal_bytes:image.ci_obj_wal ()
-        in
-        let triggers =
-          Recovery.recover_disk ?flush_spin ?flush_sleep ?durability ~faults
-            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
-            ~name:"triggers" ~wal_bytes:image.ci_trig_wal ()
-        in
-        (Disk_backend (objects, triggers), Disk_store.ops objects, Disk_store.ops triggers)
+        Disk_store.ops
+          (Recovery.recover_disk ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
+             ?durability ~faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
+             ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name ~wal_bytes ())
     | `Mem ->
-        let objects =
-          Recovery.recover_mem ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
-            ~name:"objects" ~wal_bytes:image.ci_obj_wal ()
-        in
-        let triggers =
-          Recovery.recover_mem ?flush_spin ?flush_sleep ?durability ?wal_segment_bytes
-            ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"triggers"
-            ~wal_bytes:image.ci_trig_wal ()
-        in
-        (Mem_backend (objects, triggers), Mem_store.ops objects, Mem_store.ops triggers)
+        Mem_store.ops
+          (Recovery.recover_mem ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
+             ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name
+             ~wal_bytes ())
   in
+  let obj_store = recover ?rid_base ?rid_stride "objects" image.ci_obj_wal in
+  let trig_store = recover "triggers" image.ci_trig_wal in
   let db = Database.open_existing ~mgr ~store:obj_store ~name:"main" in
   let t =
-    assemble ?engine ?intern ~kind:image.ci_kind ~backend ~faults ~mgr ~obj_store ~trig_store
-      ~db ()
+    assemble ?engine ?intern ~kind:image.ci_kind ~disk:image.ci_disk ~faults ~mgr ~obj_store
+      ~trig_store ~db ()
   in
   let txn = Txn.begin_txn ~system:true mgr in
   (* A crash can land between the objects store's commit flush and the
@@ -1237,7 +1215,13 @@ let recover_with_report ?flush_spin ?flush_sleep ?durability ?faults ?shard ?int
 
 let image_wals image = (image.ci_obj_wal, image.ci_trig_wal)
 
-let image_of_wals ~kind ~obj ~trig = { ci_kind = kind; ci_obj_wal = obj; ci_trig_wal = trig }
+let image_of_wals ~kind ~obj ~trig =
+  {
+    ci_kind = kind;
+    ci_disk = { page_size = None; pool_capacity = None; io_spin = None };
+    ci_obj_wal = obj;
+    ci_trig_wal = trig;
+  }
 
 let drain_phoenix t = Runtime.drain_phoenix t.rt
 

@@ -453,7 +453,9 @@ val recover :
     survive (a crash between the two stores' commit flushes can orphan
     either side). Classes must be re-defined by the application before use
     — FSMs are recompiled each run, per §5.1.3. [faults] arms a fault
-    plane on the recovered environment (default: inert). *)
+    plane on the recovered environment (default: inert). A disk image
+    recovers onto the crashed environment's [page_size], [pool_capacity]
+    and [io_spin]; an image from {!image_of_wals} uses the defaults. *)
 
 type recovery_report = { rr_obj_tail : int; rr_trig_tail : int }
 (** What {!recover} dropped, per store: the count of WAL records after

@@ -1,54 +1,12 @@
 module Binc = Ode_util.Binc
 
+let fail = Record_store.fail
+
 type loc = { page : int; slot : int }
 
-type t = {
-  name : string;
-  mgr : Txn.mgr;
-  faults : Faults.t;
-  pager : Pager.t;
-  pool : Buffer_pool.t;
-  wal : Wal.t;
-  pipeline : Commit_pipeline.t;
-  dir : loc Rid.Tbl.t;
-  mutable sorted_rids : Rid.t list option;  (* cache for scans; None = dirty *)
-  mutable heap_pages : int list;  (* newest first *)
-  mutable active_page : int option;  (* current fill target *)
-  roomy_pages : (int, unit) Hashtbl.t;  (* pages with reclaimed space *)
-  undo : (int, Wal.op list) Hashtbl.t;  (* txn -> ops, newest first *)
-  chains : Mvcc.t;  (* committed version chains for snapshot reads *)
-  dirty : unit Rid.Tbl.t;  (* rids with committed changes since the last checkpoint *)
-  mutable bloom : Bloom.t;  (* membership filter in front of [dir] *)
-  bloom_seed : int;
-  bloom_fp_rate : float;
-  ckpt_full_every : int;  (* every Nth checkpoint is a full anchor *)
-  mutable ckpt_seq : int;
-  mutable last_full_seq : int;  (* -1 until the first full checkpoint *)
-  rid_base : int;  (* shard residue: fresh rids ≡ rid_base (mod rid_stride) *)
-  rid_stride : int;
-  mutable next_rid : int;
-  mutable crashed : bool;
-  mutable inserts : int;
-  mutable reads : int;
-  mutable updates : int;
-  mutable deletes : int;
-  mutable relocations : int;
-  mutable bloom_negatives : int;  (* lookups answered "absent" without lock or page *)
-  mutable bloom_fp : int;  (* bloom said maybe, directory said no *)
-  mutable bloom_stale : int;  (* deleted rids still hashed into the filter *)
-  mutable bloom_incr_rebuilds : int;  (* full anchors served by an O(dirty) patch *)
-  mutable ckpt_fulls : int;
-  mutable ckpt_deltas : int;
-  mutable ckpt_delta_bytes : int;  (* total encoded size of delta manifests *)
-}
-
-let fail fmt = Format.kasprintf (fun msg -> raise (Store.Store_error msg)) fmt
-
-let check_usable t = if t.crashed then fail "store %s has crashed" t.name
-
-let check_writable t (txn : Txn.t) =
-  if Txn.is_snapshot txn then
-    fail "snapshot transaction %d is read-only (store %s)" txn.id t.name
+let bloom_seed = 0x0DE5EED
+let bloom_fp_rate = 0.01
+let new_bloom ~expected = Bloom.create ~seed:bloom_seed ~expected:(max 1024 expected) ~fp_rate:bloom_fp_rate
 
 let encode_record rid payload =
   let w = Binc.writer () in
@@ -62,594 +20,207 @@ let decode_record bytes =
   let payload = Binc.read_bytes r in
   (rid, payload)
 
-let lock_key t rid = Lock_manager.Record (t.name, rid)
-
-(* Record-lock acquisition is an addressable I/O point: a [Fail] here
-   models a lock-acquisition timeout (raised before any state changes, so
-   the enclosing transaction can abort cleanly). *)
-let lock_or_timeout t txn rid mode =
-  (match Faults.check t.faults Faults.Lock_acquire with
-  | `Proceed -> ()
-  | `Torn _ ->
-      raise (Faults.Injected_fault { point = Faults.point t.faults; site = Faults.Lock_acquire }));
-  Store.lock_or_raise txn (lock_key t rid) mode
-
-(* ------------------------------------------------------------------ *)
-(* Physical layer: place/read/remove records on pages, no locking or
-   logging. Also used by undo and recovery. *)
-
-let place_on_page t page_id data =
-  Buffer_pool.with_page t.pool page_id ~dirty:true (fun page -> Page.insert page data)
-
-let try_pages t data =
-  let try_page page_id =
-    match place_on_page t page_id data with
-    | Some slot -> Some { page = page_id; slot }
-    | None ->
-        Hashtbl.remove t.roomy_pages page_id;
-        None
-  in
-  let from_active =
-    match t.active_page with Some page_id -> try_page page_id | None -> None
-  in
-  match from_active with
-  | Some loc -> Some loc
-  | None ->
-      let roomy = Hashtbl.fold (fun page_id () acc -> page_id :: acc) t.roomy_pages [] in
-      let roomy = List.sort compare roomy in
-      List.fold_left
-        (fun found page_id -> match found with Some _ -> found | None -> try_page page_id)
-        None roomy
-
-let phys_insert t rid payload =
-  let data = encode_record rid payload in
-  let page_capacity = Pager.page_size t.pager - 64 in
-  if Bytes.length data > page_capacity then
-    fail "record %a too large (%d bytes > page capacity %d)" Rid.pp rid (Bytes.length data)
-      page_capacity;
-  let loc =
-    match try_pages t data with
-    | Some loc -> loc
-    | None ->
-        let page_id = Pager.alloc t.pager in
-        t.heap_pages <- page_id :: t.heap_pages;
-        t.active_page <- Some page_id;
-        (match place_on_page t page_id data with
-        | Some slot -> { page = page_id; slot }
-        | None -> fail "record does not fit on a fresh page")
-  in
-  if not (Rid.Tbl.mem t.dir rid) then begin
-    t.sorted_rids <- None;
-    Bloom.add t.bloom (Rid.to_int rid)
-  end;
-  Rid.Tbl.replace t.dir rid loc;
-  loc
-
-(* Resize-and-rekey from the live directory. Runs at every full
-   checkpoint (flushing deleted rids out of the filter) and whenever
-   inserts overrun the sized capacity by 2x (keeping the false-positive
-   rate near its target as the store grows). Same seed — rebuilds are
-   deterministic. *)
-let rebuild_bloom t =
-  let live = Rid.Tbl.length t.dir in
-  let bloom =
-    Bloom.create ~seed:t.bloom_seed ~expected:(max 1024 (2 * live)) ~fp_rate:t.bloom_fp_rate
-  in
-  Rid.Tbl.iter (fun rid _ -> Bloom.add bloom (Rid.to_int rid)) t.dir;
-  t.bloom <- bloom;
-  t.bloom_stale <- 0
-
-(* Full-anchor bloom refresh: when the checkpoint's committed delta is
-   small relative to the live set and the filter is neither over capacity
-   nor carrying many dead keys, patch the existing filter from the dirty
-   rids instead of re-hashing the whole directory — O(dirty), not
-   O(live). Deleted rids stay hashed in (false positives only, counted in
-   [bloom_stale]), so the patch path keeps its own budget: once stale
-   keys or insert overrun would erode the false-positive target, the next
-   anchor falls back to the full walk and flushes them out. *)
-let refresh_bloom t ~dirty_rids =
-  let live = Rid.Tbl.length t.dir in
-  let saturated = Bloom.count t.bloom > 2 * Bloom.expected t.bloom in
-  let too_stale = t.bloom_stale * 8 > max 1024 live in
-  let small = List.length dirty_rids * 8 <= live in
-  if small && (not saturated) && not too_stale then begin
-    List.iter
-      (fun rid ->
-        let key = Rid.to_int rid in
-        if Rid.Tbl.mem t.dir rid && not (Bloom.maybe_mem t.bloom key) then
-          Bloom.add t.bloom key)
-      dirty_rids;
-    t.bloom_incr_rebuilds <- t.bloom_incr_rebuilds + 1
-  end
-  else rebuild_bloom t
-
-let phys_read t rid =
-  match Rid.Tbl.find_opt t.dir rid with
-  | None -> None
-  | Some loc ->
-      Buffer_pool.with_page t.pool loc.page ~dirty:false (fun page ->
-          match Page.read page loc.slot with
-          | None -> fail "directory points at dead slot for %a" Rid.pp rid
-          | Some data ->
-              let stored_rid, payload = decode_record data in
-              if not (Rid.equal stored_rid rid) then
-                fail "directory/page disagree on rid (%a vs %a)" Rid.pp rid Rid.pp stored_rid;
-              Some payload)
-
-let phys_delete t rid =
-  match Rid.Tbl.find_opt t.dir rid with
-  | None -> ()
-  | Some loc ->
-      Buffer_pool.with_page t.pool loc.page ~dirty:true (fun page -> Page.delete page loc.slot);
-      Hashtbl.replace t.roomy_pages loc.page ();
-      Rid.Tbl.remove t.dir rid;
-      t.sorted_rids <- None;
-      t.bloom_stale <- t.bloom_stale + 1
-
-let phys_update t rid payload =
-  match Rid.Tbl.find_opt t.dir rid with
-  | None -> fail "update of unknown record %a" Rid.pp rid
-  | Some loc ->
-      let data = encode_record rid payload in
-      let in_place =
-        Buffer_pool.with_page t.pool loc.page ~dirty:true (fun page ->
-            Page.update page loc.slot data)
-      in
-      if not in_place then begin
-        t.relocations <- t.relocations + 1;
-        phys_delete t rid;
-        ignore (phys_insert t rid payload)
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Transactional layer. *)
-
-let log_op t (txn : Txn.t) op =
-  if not (Hashtbl.mem t.undo txn.id) then begin
-    Hashtbl.replace t.undo txn.id [];
-    Wal.append t.wal (Wal.Begin txn.id)
-  end;
-  Wal.append t.wal (Wal.Op (txn.id, op));
-  Hashtbl.replace t.undo txn.id (op :: Hashtbl.find t.undo txn.id)
-
-(* Rids must be unique across the store's lifetime (not reused after
-   delete), so they are drawn from a monotone counter per store. *)
-let fresh_rid t =
-  let rid = Rid.of_int t.next_rid in
-  t.next_rid <- t.next_rid + t.rid_stride;
-  rid
-
-let insert_impl t (txn : Txn.t) payload =
-  check_usable t;
-  check_writable t txn;
-  let rid = fresh_rid t in
-  lock_or_timeout t txn rid Lock_manager.X;
-  ignore (phys_insert t rid payload);
-  log_op t txn (Wal.Insert (rid, payload));
-  t.inserts <- t.inserts + 1;
-  if Bloom.count t.bloom > 2 * Bloom.expected t.bloom then rebuild_bloom t;
-  rid
-
-(* Snapshot readers resolve against the in-memory version chains at their
-   pinned timestamp — no lock, no block, no page I/O. Regular
-   transactions S-lock the record and read in place. *)
-let read_impl t (txn : Txn.t) rid =
-  check_usable t;
-  if Txn.is_snapshot txn then begin
-    Txn.check_active txn;
-    let ts = Txn.pin_snapshot txn in
-    Mvcc.note_snapshot_read t.chains;
-    t.reads <- t.reads + 1;
-    Mvcc.read_at t.chains ~ts rid
-  end
-  else if not (Bloom.maybe_mem t.bloom (Rid.to_int rid)) then begin
-    (* Definitely never inserted: answer without the S-lock, the
-       directory probe or the page read. Safe because the filter has no
-       false negatives — a concurrent uncommitted insert of this rid
-       would already be in the filter and fall through to the lock. *)
-    Txn.check_active txn;
-    t.bloom_negatives <- t.bloom_negatives + 1;
-    t.reads <- t.reads + 1;
-    None
-  end
-  else begin
-    lock_or_timeout t txn rid Lock_manager.S;
-    t.reads <- t.reads + 1;
-    match phys_read t rid with
-    | None ->
-        t.bloom_fp <- t.bloom_fp + 1;
-        None
-    | some -> some
-  end
-
-(* Lock-free read-committed access for a regular transaction (certified
-   snapshot-safe trigger cascades); see [Mem_store.read_committed_impl]. *)
-let read_committed_impl t (txn : Txn.t) rid =
-  check_usable t;
-  Txn.check_active txn;
-  let held =
-    Lock_manager.holds (Txn.lock_mgr t.mgr) ~txn:txn.id (lock_key t rid) <> None
-  in
-  t.reads <- t.reads + 1;
-  if held then (Mvcc.own_read_ts, phys_read t rid)
-  else begin
-    Mvcc.note_snapshot_read t.chains;
-    Mvcc.latest t.chains rid
-  end
-
-let version_ts_impl t rid = fst (Mvcc.latest t.chains rid)
-
-let update_impl t (txn : Txn.t) rid payload =
-  check_usable t;
-  check_writable t txn;
-  lock_or_timeout t txn rid Lock_manager.X;
-  match phys_read t rid with
-  | None -> fail "update of unknown record %a" Rid.pp rid
-  | Some before ->
-      phys_update t rid payload;
-      log_op t txn (Wal.Update (rid, before, payload));
-      t.updates <- t.updates + 1
-
-let delete_impl t (txn : Txn.t) rid =
-  check_usable t;
-  check_writable t txn;
-  lock_or_timeout t txn rid Lock_manager.X;
-  match phys_read t rid with
-  | None -> fail "delete of unknown record %a" Rid.pp rid
-  | Some before ->
-      phys_delete t rid;
-      log_op t txn (Wal.Delete (rid, before));
-      t.deletes <- t.deletes + 1
-
-(* Sorted scan order, rebuilt only after an insert/delete dirtied it:
-   Crashlab probes and checkpoints scan after every transaction, so
-   re-sorting the whole directory per scan was quadratic. *)
-let sorted_rids t =
-  match t.sorted_rids with
-  | Some rids -> rids
-  | None ->
-      let rids = Rid.Tbl.fold (fun rid _ acc -> rid :: acc) t.dir [] in
-      let rids = List.sort Rid.compare rids in
-      t.sorted_rids <- Some rids;
-      rids
-
-let iter_impl t (txn : Txn.t) f =
-  check_usable t;
-  if Txn.is_snapshot txn then begin
-    Txn.check_active txn;
-    let ts = Txn.pin_snapshot txn in
-    Mvcc.iter_at t.chains ~ts (fun rid payload ->
-        Mvcc.note_snapshot_read t.chains;
-        t.reads <- t.reads + 1;
-        f rid payload)
-  end
-  else begin
-    let rids = sorted_rids t in
-    let visit rid =
-      lock_or_timeout t txn rid Lock_manager.S;
-      match phys_read t rid with None -> () | Some payload -> f rid payload
-    in
-    List.iter visit rids
-  end
-
-let apply_undo t op =
-  match op with
-  | Wal.Insert (rid, _) -> phys_delete t rid
-  | Wal.Update (rid, before, _) -> phys_update t rid before
-  | Wal.Delete (rid, before) -> ignore (phys_insert t rid before)
-
-(* The commit-time log force routes through the pipeline: Immediate mode
-   reproduces the seed behaviour (per-txn Commit record, flush per commit,
-   transient flush failure swallowed as delayed durability), Group/Async
-   modes batch the force across transactions. *)
-(* Distinct rids a transaction's undo ops touched, for version install.
-   Deduped through a scratch table: the membership scan over the
-   accumulator made large batched transactions quadratic in batch size. *)
-let touched_rids ops =
-  let seen = Rid.Tbl.create 64 in
-  List.fold_left
-    (fun acc op ->
-      let rid =
-        match op with
-        | Wal.Insert (rid, _) | Wal.Update (rid, _, _) | Wal.Delete (rid, _) -> rid
-      in
-      if Rid.Tbl.mem seen rid then acc
-      else begin
-        Rid.Tbl.replace seen rid ();
-        rid :: acc
-      end)
-    [] ops
-
-let on_commit t (txn : Txn.t) =
-  match Hashtbl.find_opt t.undo txn.id with
-  | None -> ()
-  | Some undo_ops ->
-      Commit_pipeline.on_commit t.pipeline txn;
-      (* Install one version per touched record under the pipeline's commit
-         stamp — the post-commit state (None for a delete tombstone). *)
-      let ts = Txn.commit_ts txn in
-      List.iter
-        (fun rid ->
-          Mvcc.install t.chains ~ts rid (phys_read t rid);
-          (* Committed change: the next incremental checkpoint must carry
-             this rid (aborted work never enters the dirty set). *)
-          Rid.Tbl.replace t.dirty rid ())
-        (touched_rids undo_ops);
-      Mvcc.maybe_prune t.chains ~watermark:(Txn.gc_watermark t.mgr);
-      Hashtbl.remove t.undo txn.id
-
-let on_abort t (txn : Txn.t) =
-  if not t.crashed then begin
-    match Hashtbl.find_opt t.undo txn.id with
-    | None -> ()
-    | Some ops ->
-        List.iter (apply_undo t) ops;
-        Wal.append t.wal (Wal.Abort txn.id);
-        Hashtbl.remove t.undo txn.id;
-        (* Logical time also advances on aborts, so a Group batch deadline
-           cannot be starved by a run of aborting transactions. *)
-        Commit_pipeline.tick t.pipeline
-  end
-
-(* Checkpoint: every [ckpt_full_every]-th one (and the first) is a full
-   anchor logging the entire committed state; the rest are incremental
-   [Ckpt_delta] manifests carrying only the rids committed since the
-   previous checkpoint — O(dirty), not O(data). After a full anchor the
-   log below it is re-derivable, so sealed WAL segments wholly below the
-   anchor record retire (subject to replication pins), and the bloom
-   filter rebuilds from the live directory, flushing deleted rids out. *)
-let write_ckpt t ~seq ~full record =
-  let record_len =
-    let w = Binc.writer () in
-    Wal.encode_record w record;
-    Bytes.length (Binc.contents w)
-  in
-  (* Any queued group batch materializes ahead of the checkpoint record so
-     the batch's commit marker precedes the state it is folded into; the
-     pipeline flush then forces both and resolves the deferred acks. *)
-  Commit_pipeline.materialize t.pipeline;
-  Wal.append t.wal record;
-  Commit_pipeline.flush t.pipeline;
-  (* Only a durable checkpoint updates the chain bookkeeping: a failed
-     flush leaves the record buffered and the dirty set intact, so the
-     next attempt simply supersedes it. *)
-  t.ckpt_seq <- seq + 1;
-  (* The dirty set feeds the incremental bloom refresh below, so capture
-     it before the reset. *)
-  let dirty_rids =
-    if full then Rid.Tbl.fold (fun rid () acc -> rid :: acc) t.dirty [] else []
-  in
-  Rid.Tbl.reset t.dirty;
-  if full then begin
-    t.ckpt_fulls <- t.ckpt_fulls + 1;
-    t.last_full_seq <- seq;
-    (* The anchor starts at [durable end - its encoded length]: it is the
-       last record of the flush we just forced. Everything strictly below
-       is superseded. *)
-    Wal.retire_below t.wal ~offset:(Wal.durable_size t.wal - record_len);
-    refresh_bloom t ~dirty_rids
-  end
-  else begin
-    t.ckpt_deltas <- t.ckpt_deltas + 1;
-    t.ckpt_delta_bytes <- t.ckpt_delta_bytes + record_len
-  end;
-  Commit_pipeline.note_checkpoint t.pipeline;
-  Mvcc.prune t.chains ~watermark:(Txn.gc_watermark t.mgr)
-
-let checkpoint_impl t () =
-  check_usable t;
-  if Hashtbl.length t.undo > 0 then fail "checkpoint with in-flight transactions";
-  (* A checkpoint writes dirty pages back to the device before logging
-     the state, like a real fuzzy-checkpoint flush. Recovery never reads
-     data pages (it replays the WAL), but this keeps the device image
-     current and makes page writes addressable I/O points. *)
-  Buffer_pool.flush_all t.pool;
-  let seq = t.ckpt_seq in
-  let full = t.last_full_seq < 0 || seq - t.last_full_seq >= t.ckpt_full_every in
-  let record =
-    if full then
-      Wal.Checkpoint
-        (List.map
-           (fun rid ->
-             match phys_read t rid with
-             | Some payload -> (rid, payload)
-             | None -> fail "checkpoint: dangling directory entry %a" Rid.pp rid)
-           (sorted_rids t))
-    else begin
-      let entries =
-        Rid.Tbl.fold (fun rid () acc -> (rid, phys_read t rid) :: acc) t.dirty []
-      in
-      let entries = List.sort (fun (a, _) (b, _) -> Rid.compare a b) entries in
-      Wal.Ckpt_delta { seq; base = t.last_full_seq; entries }
-    end
-  in
-  write_ckpt t ~seq ~full record
-
-(* Recovery's anchor: the caller just [load_bulk]ed [entries] (sorted, the
-   exact committed state), so logging them directly skips the per-record
-   page reads a regular full checkpoint pays — at a million objects that
-   re-read is most of the recovery fixed cost. The store is fresh (empty
-   WAL, right-sized bloom courtesy of [load_bulk]), which also lets this
-   path skip [write_ckpt]'s length-probe encode, its retirement call
-   (nothing below the anchor exists) and the bloom rebuild. *)
-let anchor_from t entries =
-  check_usable t;
-  if Hashtbl.length t.undo > 0 then fail "checkpoint with in-flight transactions";
-  if Wal.durable_size t.wal > 0 then fail "anchor_from into a store with WAL history";
-  Buffer_pool.flush_all t.pool;
-  let seq = t.ckpt_seq in
-  Commit_pipeline.materialize t.pipeline;
-  Wal.append t.wal (Wal.Checkpoint entries);
-  Commit_pipeline.flush t.pipeline;
-  t.ckpt_seq <- seq + 1;
-  Rid.Tbl.reset t.dirty;
-  t.ckpt_fulls <- t.ckpt_fulls + 1;
-  t.last_full_seq <- seq;
-  Commit_pipeline.note_checkpoint t.pipeline;
-  Mvcc.prune t.chains ~watermark:(Txn.gc_watermark t.mgr)
-
-let prune_versions_impl t () =
-  check_usable t;
-  Mvcc.prune t.chains ~watermark:(Txn.gc_watermark t.mgr)
-
-let counters_impl t () =
-  let pager = Pager.stats t.pager in
-  let pool = Buffer_pool.stats t.pool in
-  [
-    ("inserts", t.inserts);
-    ("reads", t.reads);
-    ("updates", t.updates);
-    ("deletes", t.deletes);
-    ("relocations", t.relocations);
-    ("page_reads", pager.Pager.reads);
-    ("page_writes", pager.Pager.writes);
-    ("pages", Pager.page_count t.pager);
-    ("pool_hits", pool.Buffer_pool.hits);
-    ("pool_misses", pool.Buffer_pool.misses);
-    ("pool_evictions", pool.Buffer_pool.evictions);
-    ("pool_writebacks", pool.Buffer_pool.writebacks);
-    ("wal_flushes", Wal.flush_count t.wal);
-    ("wal_bytes", Wal.durable_size t.wal);
-    ("wal_footprint", Wal.retained_size t.wal);
-    ("segments_sealed", Wal.segments_sealed t.wal);
-    ("segments_retired", Wal.segments_retired t.wal);
-    ("wal_retired_bytes", Wal.retired_bytes t.wal);
-    ("ckpt_fulls", t.ckpt_fulls);
-    ("ckpt_deltas", t.ckpt_deltas);
-    ("ckpt_incremental_bytes", t.ckpt_delta_bytes);
-    ("dirty_rids", Rid.Tbl.length t.dirty);
-    ("bloom_negatives", t.bloom_negatives);
-    ("bloom_fp", t.bloom_fp);
-    ("bloom_bits", Bloom.bit_count t.bloom);
-    ("bloom_keys", Bloom.count t.bloom);
-    ("bloom_stale_keys", t.bloom_stale);
-    ("bloom_incremental_rebuilds", t.bloom_incr_rebuilds);
-  ]
-  @ Commit_pipeline.counters t.pipeline
-  @ Mvcc.counters t.chains
-  @ [
-      ("mvcc.oldest_snapshot_lag", Txn.oldest_snapshot_lag t.mgr);
-      ("mvcc.live_snapshots", Txn.live_snapshot_count t.mgr);
-    ]
-
-let create ?(page_size = 4096) ?(pool_capacity = 64) ?io_spin ?flush_spin ?flush_sleep
-    ?durability ?faults ?(rid_base = 0) ?(rid_stride = 1) ?(wal_segment_bytes = 0)
-    ?(ckpt_full_every = 1) ?auto_ckpt_bytes ?(bloom_seed = 0x0DE5EED) ?(bloom_fp_rate = 0.01)
-    ~mgr ~name () =
-  if rid_stride < 1 || rid_base < 0 || rid_base >= rid_stride then
-    fail "store %s: rid_base %d must lie in [0, rid_stride=%d)" name rid_base rid_stride;
-  if ckpt_full_every < 1 then fail "store %s: ckpt_full_every must be >= 1" name;
-  let faults = match faults with Some f -> f | None -> Faults.create () in
-  let pager = Pager.create ?io_spin ~faults ~page_size () in
-  let wal = Wal.create ~faults ?flush_spin ?flush_sleep ~segment_bytes:wal_segment_bytes () in
-  let t =
-    {
-      name;
-      mgr;
-      faults;
-      pager;
-      pool = Buffer_pool.create ~faults pager ~capacity:pool_capacity;
-      wal;
-      pipeline = Commit_pipeline.create ?mode:durability ?auto_ckpt_bytes wal;
-      dir = Rid.Tbl.create 256;
-      sorted_rids = None;
-      heap_pages = [];
-      active_page = None;
-      roomy_pages = Hashtbl.create 16;
-      undo = Hashtbl.create 8;
-      chains = Mvcc.create ();
-      dirty = Rid.Tbl.create 64;
-      bloom = Bloom.create ~seed:bloom_seed ~expected:1024 ~fp_rate:bloom_fp_rate;
-      bloom_seed;
-      bloom_fp_rate;
-      ckpt_full_every;
-      ckpt_seq = 0;
-      last_full_seq = -1;
-      rid_base;
-      rid_stride;
-      next_rid = rid_base;
-      crashed = false;
-      inserts = 0;
-      reads = 0;
-      updates = 0;
-      deletes = 0;
-      relocations = 0;
-      bloom_negatives = 0;
-      bloom_stale = 0;
-      bloom_incr_rebuilds = 0;
-      bloom_fp = 0;
-      ckpt_fulls = 0;
-      ckpt_deltas = 0;
-      ckpt_delta_bytes = 0;
-    }
-  in
-  Txn.register_participant mgr
-    { Txn.p_name = name; p_prepare = (fun _ -> ()); on_commit = on_commit t; on_abort = on_abort t };
-  t
-
-let ops t =
-  {
-    Store.name = t.name;
-    insert = insert_impl t;
-    read = read_impl t;
-    update = update_impl t;
-    delete = delete_impl t;
-    iter = iter_impl t;
-    read_committed = read_committed_impl t;
-    version_ts = version_ts_impl t;
-    prune_versions = prune_versions_impl t;
-    record_count = (fun () -> Rid.Tbl.length t.dir);
-    maybe_present =
-      (fun rid ->
-        check_usable t;
-        if not (Bloom.maybe_mem t.bloom (Rid.to_int rid)) then begin
-          t.bloom_negatives <- t.bloom_negatives + 1;
-          false
-        end
-        else begin
-          let hit = Rid.Tbl.mem t.dir rid in
-          if not hit then t.bloom_fp <- t.bloom_fp + 1;
-          hit
-        end);
-    in_flight = (fun () -> Hashtbl.length t.undo);
-    checkpoint = checkpoint_impl t;
-    counters = counters_impl t;
-    wal = t.wal;
-    pipeline = t.pipeline;
+(* Slotted pages behind the buffer pool, a rid -> (page, slot) directory
+   and a bloom filter in front of it. No locking or logging here. *)
+module Phys = struct
+  type t = {
+    pager : Pager.t;
+    pool : Buffer_pool.t;
+    dir : loc Rid.Tbl.t;
+    mutable active_page : int option;  (* current fill target *)
+    roomy_pages : (int, unit) Hashtbl.t;  (* pages with reclaimed space *)
+    mutable bloom : Bloom.t;  (* membership filter in front of [dir] *)
+    mutable relocations : int;
+    mutable bloom_negatives : int;  (* lookups answered "absent" without lock or page *)
+    mutable bloom_fp : int;  (* bloom said maybe, directory said no *)
+    mutable bloom_stale : int;  (* deleted rids still hashed into the filter *)
+    mutable bloom_incr_rebuilds : int;  (* full anchors served by an O(dirty) patch *)
   }
 
-(* Smallest candidate rid > [rid] in the store's residue class, so fresh
-   rids after recovery keep the shard partitioning invariant. *)
-let align_after t rid =
-  let n = Rid.to_int rid + 1 in
-  if n <= t.rid_base then t.rid_base
-  else t.rid_base + ((n - t.rid_base + t.rid_stride - 1) / t.rid_stride) * t.rid_stride
+  let create pager pool =
+    {
+      pager;
+      pool;
+      dir = Rid.Tbl.create 256;
+      active_page = None;
+      roomy_pages = Hashtbl.create 16;
+      bloom = new_bloom ~expected:0;
+      relocations = 0;
+      bloom_negatives = 0;
+      bloom_fp = 0;
+      bloom_stale = 0;
+      bloom_incr_rebuilds = 0;
+    }
 
-let load_bulk t entries =
-  if Rid.Tbl.length t.dir > 0 then fail "load_bulk into non-empty store %s" t.name;
-  (* Size the bloom for the load up front so neither the per-record adds
+  let place_on_page t page_id data =
+    Buffer_pool.with_page t.pool page_id ~dirty:true (fun page -> Page.insert page data)
+
+  let try_pages t data =
+    let try_page page_id =
+      match place_on_page t page_id data with
+      | Some slot -> Some { page = page_id; slot }
+      | None ->
+          Hashtbl.remove t.roomy_pages page_id;
+          None
+    in
+    let from_active =
+      match t.active_page with Some page_id -> try_page page_id | None -> None
+    in
+    match from_active with
+    | Some loc -> Some loc
+    | None ->
+        let roomy = Hashtbl.fold (fun page_id () acc -> page_id :: acc) t.roomy_pages [] in
+        let roomy = List.sort compare roomy in
+        List.fold_left
+          (fun found page_id -> match found with Some _ -> found | None -> try_page page_id)
+          None roomy
+
+  (* Place a record whose rid has no directory entry. *)
+  let insert t rid payload =
+    let data = encode_record rid payload in
+    let page_capacity = Pager.page_size t.pager - 64 in
+    if Bytes.length data > page_capacity then
+      fail "record %a too large (%d bytes > page capacity %d)" Rid.pp rid (Bytes.length data)
+        page_capacity;
+    let loc =
+      match try_pages t data with
+      | Some loc -> loc
+      | None -> (
+          let page_id = Pager.alloc t.pager in
+          t.active_page <- Some page_id;
+          match place_on_page t page_id data with
+          | Some slot -> { page = page_id; slot }
+          | None -> fail "record does not fit on a fresh page")
+    in
+    Bloom.add t.bloom (Rid.to_int rid);
+    Rid.Tbl.replace t.dir rid loc
+
+  let remove t rid =
+    match Rid.Tbl.find_opt t.dir rid with
+    | None -> ()
+    | Some loc ->
+        Buffer_pool.with_page t.pool loc.page ~dirty:true (fun page -> Page.delete page loc.slot);
+        Hashtbl.replace t.roomy_pages loc.page ();
+        Rid.Tbl.remove t.dir rid;
+        t.bloom_stale <- t.bloom_stale + 1
+
+  (* An update that no longer fits in place relocates the record; the
+     directory keeps its rid stable (persistent pointers stay valid). *)
+  let put t rid payload =
+    match Rid.Tbl.find_opt t.dir rid with
+    | None -> insert t rid payload
+    | Some loc ->
+        let data = encode_record rid payload in
+        let in_place =
+          Buffer_pool.with_page t.pool loc.page ~dirty:true (fun page ->
+              Page.update page loc.slot data)
+        in
+        if not in_place then begin
+          t.relocations <- t.relocations + 1;
+          remove t rid;
+          insert t rid payload
+        end
+
+  let find t rid =
+    match Rid.Tbl.find_opt t.dir rid with
+    | None -> None
+    | Some loc ->
+        Buffer_pool.with_page t.pool loc.page ~dirty:false (fun page ->
+            match Page.read page loc.slot with
+            | None -> fail "directory points at dead slot for %a" Rid.pp rid
+            | Some data ->
+                let stored_rid, payload = decode_record data in
+                if not (Rid.equal stored_rid rid) then
+                  fail "directory/page disagree on rid (%a vs %a)" Rid.pp rid Rid.pp stored_rid;
+                Some payload)
+
+  let mem t rid = Rid.Tbl.mem t.dir rid
+  let count t = Rid.Tbl.length t.dir
+  let iter t f = Rid.Tbl.iter (fun rid _ -> f rid) t.dir
+  let maybe_mem t rid = Bloom.maybe_mem t.bloom (Rid.to_int rid)
+  let note_negative t = t.bloom_negatives <- t.bloom_negatives + 1
+  let note_false_positive t = t.bloom_fp <- t.bloom_fp + 1
+
+  (* Size the bloom for a bulk load up front so neither the per-record adds
      nor the recovery anchor need a rebuild pass. *)
-  t.bloom <-
-    Bloom.create ~seed:t.bloom_seed
-      ~expected:(max 1024 (2 * List.length entries))
-      ~fp_rate:t.bloom_fp_rate;
-  List.iter
-    (fun (rid, payload) ->
-      ignore (phys_insert t rid payload);
-      (* Baseline version at ts 0: recovered state predates every future
-         snapshot, and uncommitted pre-crash work never had a version. *)
-      Mvcc.load t.chains ~ts:0 rid (Some payload);
-      t.next_rid <- max t.next_rid (align_after t rid))
-    entries
+  let presize t n = t.bloom <- new_bloom ~expected:(2 * n)
 
-let flush_pages t = Buffer_pool.flush_all t.pool
+  (* Resize-and-rekey from the live directory. Runs at full checkpoints
+     (flushing deleted rids out of the filter) and whenever inserts overrun
+     the sized capacity by 2x (keeping the false-positive rate near its
+     target as the store grows). Same seed — rebuilds are deterministic. *)
+  let rebuild_bloom t =
+    let bloom = new_bloom ~expected:(2 * Rid.Tbl.length t.dir) in
+    Rid.Tbl.iter (fun rid _ -> Bloom.add bloom (Rid.to_int rid)) t.dir;
+    t.bloom <- bloom;
+    t.bloom_stale <- 0
 
-let crash t =
-  Buffer_pool.drop_all t.pool;
-  Mvcc.clear t.chains;
-  t.crashed <- true
+  let after_insert t = if Bloom.count t.bloom > 2 * Bloom.expected t.bloom then rebuild_bloom t
 
-let page_count t = Pager.page_count t.pager
-let pager_stats t = Pager.stats t.pager
-let pool_stats t = Buffer_pool.stats t.pool
-let faults t = t.faults
+  (* Full-anchor bloom refresh: when the checkpoint's committed delta is
+     small relative to the live set and the filter is neither over capacity
+     nor carrying many dead keys, patch the existing filter from the dirty
+     rids instead of re-hashing the whole directory — O(dirty), not
+     O(live). Deleted rids stay hashed in (false positives only, counted in
+     [bloom_stale]), so the patch path keeps its own budget: once stale
+     keys or insert overrun would erode the false-positive target, the next
+     anchor falls back to the full walk and flushes them out. *)
+  let on_full_anchor t ~dirty_rids =
+    let live = Rid.Tbl.length t.dir in
+    let saturated = Bloom.count t.bloom > 2 * Bloom.expected t.bloom in
+    let too_stale = t.bloom_stale * 8 > max 1024 live in
+    let small = List.length dirty_rids * 8 <= live in
+    if small && (not saturated) && not too_stale then begin
+      List.iter
+        (fun rid ->
+          let key = Rid.to_int rid in
+          if Rid.Tbl.mem t.dir rid && not (Bloom.maybe_mem t.bloom key) then
+            Bloom.add t.bloom key)
+        dirty_rids;
+      t.bloom_incr_rebuilds <- t.bloom_incr_rebuilds + 1
+    end
+    else rebuild_bloom t
+
+  (* A checkpoint writes dirty pages back to the device before logging the
+     state, like a real fuzzy-checkpoint flush. Recovery never reads data
+     pages (it replays the WAL), but this keeps the device image current
+     and makes page writes addressable I/O points. *)
+  let before_checkpoint t = Buffer_pool.flush_all t.pool
+
+  let crash t = Buffer_pool.drop_all t.pool
+
+  let io_counters t =
+    let pager = Pager.stats t.pager in
+    let pool = Buffer_pool.stats t.pool in
+    [
+      ("relocations", t.relocations);
+      ("page_reads", pager.Pager.reads);
+      ("page_writes", pager.Pager.writes);
+      ("pages", Pager.page_count t.pager);
+      ("pool_hits", pool.Buffer_pool.hits);
+      ("pool_misses", pool.Buffer_pool.misses);
+      ("pool_evictions", pool.Buffer_pool.evictions);
+      ("pool_writebacks", pool.Buffer_pool.writebacks);
+    ]
+
+  let filter_counters t =
+    [
+      ("bloom_negatives", t.bloom_negatives);
+      ("bloom_fp", t.bloom_fp);
+      ("bloom_bits", Bloom.bit_count t.bloom);
+      ("bloom_keys", Bloom.count t.bloom);
+      ("bloom_stale_keys", t.bloom_stale);
+      ("bloom_incremental_rebuilds", t.bloom_incr_rebuilds);
+    ]
+end
+
+include Record_store.Make (Phys)
+
+let create ?(page_size = 4096) ?(pool_capacity = 64) ?io_spin ?flush_spin ?flush_sleep
+    ?durability ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
+    ?auto_ckpt_bytes ~mgr ~name () =
+  let faults = match faults with Some f -> f | None -> Faults.create () in
+  let pager = Pager.create ?io_spin ~faults ~page_size () in
+  let pool = Buffer_pool.create ~faults pager ~capacity:pool_capacity in
+  create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride ?wal_segment_bytes
+    ?ckpt_full_every ?auto_ckpt_bytes ~faults ~mgr ~name (Phys.create pager pool)

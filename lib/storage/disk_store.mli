@@ -1,15 +1,17 @@
-(** EOS-like disk-based record store: slotted pages behind an LRU buffer
-    pool, logical WAL, per-transaction undo, strict 2PL record locking.
+(** EOS-like disk-based record store: the {!Record_store} logical layer
+    over slotted pages behind an LRU buffer pool.
 
-    A record is addressed by a logical {!Rid.t}; the store keeps a directory
-    from rid to (page, slot) so an update that no longer fits in place can
-    relocate the record without changing its identity (the paper's persistent
-    pointers must stay valid). Durability is through the WAL: commit forces
-    the log; a crash discards the buffer pool and pages, and
-    {!Recovery.recover_disk} rebuilds the store from the last checkpoint plus
-    committed log suffix. *)
+    A record is addressed by a logical {!Rid.t}; the physical map keeps a
+    directory from rid to (page, slot) so an update that no longer fits in
+    place can relocate the record without changing its identity (the
+    paper's persistent pointers must stay valid). A seeded bloom filter
+    in front of the directory answers lookups of never-inserted rids
+    without a lock or a page read. Durability is through the WAL: commit
+    forces the log; a crash discards the buffer pool and pages, and
+    {!Recovery.recover_disk} rebuilds the store from the last checkpoint
+    plus committed log suffix. *)
 
-type t
+include Record_store.S
 
 val create :
   ?page_size:int ->
@@ -24,8 +26,6 @@ val create :
   ?wal_segment_bytes:int ->
   ?ckpt_full_every:int ->
   ?auto_ckpt_bytes:int ->
-  ?bloom_seed:int ->
-  ?bloom_fp_rate:float ->
   mgr:Txn.mgr ->
   name:string ->
   unit ->
@@ -50,35 +50,4 @@ val create :
     ({!Wal.retire_below}); [ckpt_full_every] (default 1 = always full)
     makes every Nth checkpoint a full anchor with incremental
     [Ckpt_delta] manifests between; [auto_ckpt_bytes] (default 0 = off)
-    arms {!Commit_pipeline.auto_checkpoint_due} at that much WAL growth;
-    [bloom_seed]/[bloom_fp_rate] (defaults [0x0DE5EED]/0.01) configure
-    the rid membership filter consulted before directory and buffer-pool
-    lookups. *)
-
-val ops : t -> Store.t
-(** The uniform interface used by everything above the storage layer. *)
-
-val load_bulk : t -> (Rid.t * bytes) list -> unit
-(** Physically install records, bypassing transactions, locking and
-    logging. Recovery-only; raises [Store_error] if the store is not
-    empty. *)
-
-val anchor_from : t -> (Rid.t * bytes) list -> unit
-(** Write a full anchor checkpoint whose payload is [entries] verbatim
-    (sorted by rid), with the usual anchor bookkeeping: WAL retirement
-    below the record and a bloom rebuild. Recovery pairs this with
-    {!load_bulk} — the entries are the state just loaded, so logging them
-    directly skips the per-record page re-read a regular full checkpoint
-    performs. *)
-
-val flush_pages : t -> unit
-(** Write back all dirty frames (clean shutdown). *)
-
-val crash : t -> unit
-(** Simulate a crash: drop all buffered frames and refuse further use. The
-    WAL's durable prefix survives; retrieve it with [(ops t).wal]. *)
-
-val page_count : t -> int
-val pager_stats : t -> Pager.stats
-val pool_stats : t -> Buffer_pool.stats
-val faults : t -> Faults.t
+    arms {!Commit_pipeline.auto_checkpoint_due} at that much WAL growth. *)

@@ -1,383 +1,33 @@
-type t = {
-  name : string;
-  mgr : Txn.mgr;
-  wal : Wal.t;
-  pipeline : Commit_pipeline.t;
-  records : bytes Rid.Tbl.t;
-  mutable sorted_rids : Rid.t list option;  (* cache for scans; None = dirty *)
-  undo : (int, Wal.op list) Hashtbl.t;
-  chains : Mvcc.t;  (* committed version chains for snapshot reads *)
-  dirty : unit Rid.Tbl.t;  (* rids with committed changes since the last checkpoint *)
-  ckpt_full_every : int;  (* every Nth checkpoint is a full anchor *)
-  mutable ckpt_seq : int;
-  mutable last_full_seq : int;  (* -1 until the first full checkpoint *)
-  rid_base : int;  (* shard residue: fresh rids ≡ rid_base (mod rid_stride) *)
-  rid_stride : int;
-  mutable next_rid : int;
-  mutable crashed : bool;
-  mutable inserts : int;
-  mutable reads : int;
-  mutable updates : int;
-  mutable deletes : int;
-  mutable ckpt_fulls : int;
-  mutable ckpt_deltas : int;
-  mutable ckpt_delta_bytes : int;  (* total encoded size of delta manifests *)
-}
+(* A plain hash table: no pages, no pool, no membership filter (the
+   table is its own O(1) probe, so every read takes the S-lock path). *)
+module Phys = struct
+  type t = bytes Rid.Tbl.t
 
-let fail fmt = Format.kasprintf (fun msg -> raise (Store.Store_error msg)) fmt
+  let find = Rid.Tbl.find_opt
+  let put = Rid.Tbl.replace
+  let remove = Rid.Tbl.remove
+  let mem = Rid.Tbl.mem
+  let count = Rid.Tbl.length
+  let iter t f = Rid.Tbl.iter (fun rid _ -> f rid) t
+  let maybe_mem _ _ = true
+  let note_negative _ = ()
+  let note_false_positive _ = ()
+  let presize _ _ = ()
+  let after_insert _ = ()
+  let on_full_anchor _ ~dirty_rids:_ = ()
+  let before_checkpoint _ = ()
+  let crash = Rid.Tbl.reset
+  let io_counters _ = []
+  let filter_counters _ = []
+end
 
-let check_usable t = if t.crashed then fail "store %s has crashed" t.name
+include Record_store.Make (Phys)
 
-let check_writable t (txn : Txn.t) =
-  if Txn.is_snapshot txn then
-    fail "snapshot transaction %d is read-only (store %s)" txn.id t.name
-
-let lock_key t rid = Lock_manager.Record (t.name, rid)
-
-let log_op t (txn : Txn.t) op =
-  if not (Hashtbl.mem t.undo txn.id) then begin
-    Hashtbl.replace t.undo txn.id [];
-    Wal.append t.wal (Wal.Begin txn.id)
-  end;
-  Wal.append t.wal (Wal.Op (txn.id, op));
-  Hashtbl.replace t.undo txn.id (op :: Hashtbl.find t.undo txn.id)
-
-let insert_impl t (txn : Txn.t) payload =
-  check_usable t;
-  check_writable t txn;
-  let rid = Rid.of_int t.next_rid in
-  t.next_rid <- t.next_rid + t.rid_stride;
-  Store.lock_or_raise txn (lock_key t rid) Lock_manager.X;
-  Rid.Tbl.replace t.records rid payload;
-  t.sorted_rids <- None;
-  log_op t txn (Wal.Insert (rid, payload));
-  t.inserts <- t.inserts + 1;
-  rid
-
-(* Snapshot readers resolve against the version chains at their pinned
-   timestamp — no lock, no block, no abort. Regular transactions S-lock
-   the record and read in place (uncommitted isolation comes from the
-   writers' X locks). *)
-let read_impl t (txn : Txn.t) rid =
-  check_usable t;
-  if Txn.is_snapshot txn then begin
-    Txn.check_active txn;
-    let ts = Txn.pin_snapshot txn in
-    Mvcc.note_snapshot_read t.chains;
-    t.reads <- t.reads + 1;
-    Mvcc.read_at t.chains ~ts rid
-  end
-  else begin
-    Store.lock_or_raise txn (lock_key t rid) Lock_manager.S;
-    t.reads <- t.reads + 1;
-    Rid.Tbl.find_opt t.records rid
-  end
-
-(* Lock-free read-committed access for a regular transaction (certified
-   snapshot-safe trigger cascades). A record the transaction already
-   locked is served from the in-place state — reads-your-own-writes,
-   tagged [Mvcc.own_read_ts] so callers skip write-time validation. *)
-let read_committed_impl t (txn : Txn.t) rid =
-  check_usable t;
-  Txn.check_active txn;
-  let held =
-    Lock_manager.holds (Txn.lock_mgr t.mgr) ~txn:txn.id (lock_key t rid) <> None
-  in
-  t.reads <- t.reads + 1;
-  if held then (Mvcc.own_read_ts, Rid.Tbl.find_opt t.records rid)
-  else begin
-    Mvcc.note_snapshot_read t.chains;
-    Mvcc.latest t.chains rid
-  end
-
-let version_ts_impl t rid = fst (Mvcc.latest t.chains rid)
-
-let update_impl t (txn : Txn.t) rid payload =
-  check_usable t;
-  check_writable t txn;
-  Store.lock_or_raise txn (lock_key t rid) Lock_manager.X;
-  match Rid.Tbl.find_opt t.records rid with
-  | None -> fail "update of unknown record %a" Rid.pp rid
-  | Some before ->
-      Rid.Tbl.replace t.records rid payload;
-      log_op t txn (Wal.Update (rid, before, payload));
-      t.updates <- t.updates + 1
-
-let delete_impl t (txn : Txn.t) rid =
-  check_usable t;
-  check_writable t txn;
-  Store.lock_or_raise txn (lock_key t rid) Lock_manager.X;
-  match Rid.Tbl.find_opt t.records rid with
-  | None -> fail "delete of unknown record %a" Rid.pp rid
-  | Some before ->
-      Rid.Tbl.remove t.records rid;
-      t.sorted_rids <- None;
-      log_op t txn (Wal.Delete (rid, before));
-      t.deletes <- t.deletes + 1
-
-(* Sorted scan order, rebuilt only after an insert/delete/undo dirtied it
-   (same pattern as [Disk_store.sorted_rids]). *)
-let sorted_rids t =
-  match t.sorted_rids with
-  | Some rids -> rids
-  | None ->
-      let rids = Rid.Tbl.fold (fun rid _ acc -> rid :: acc) t.records [] in
-      let rids = List.sort Rid.compare rids in
-      t.sorted_rids <- Some rids;
-      rids
-
-let iter_impl t (txn : Txn.t) f =
-  check_usable t;
-  if Txn.is_snapshot txn then begin
-    Txn.check_active txn;
-    let ts = Txn.pin_snapshot txn in
-    Mvcc.iter_at t.chains ~ts (fun rid payload ->
-        Mvcc.note_snapshot_read t.chains;
-        t.reads <- t.reads + 1;
-        f rid payload)
-  end
-  else begin
-    let rids = sorted_rids t in
-    let visit rid =
-      Store.lock_or_raise txn (lock_key t rid) Lock_manager.S;
-      match Rid.Tbl.find_opt t.records rid with None -> () | Some payload -> f rid payload
-    in
-    List.iter visit rids
-  end
-
-let apply_undo t op =
-  (match op with
-  | Wal.Insert _ | Wal.Delete _ -> t.sorted_rids <- None
-  | Wal.Update _ -> ());
-  match op with
-  | Wal.Insert (rid, _) -> Rid.Tbl.remove t.records rid
-  | Wal.Update (rid, before, _) -> Rid.Tbl.replace t.records rid before
-  | Wal.Delete (rid, before) -> Rid.Tbl.replace t.records rid before
-
-(* Distinct rids a transaction's undo ops touched, for version install.
-   Deduped through a scratch table: the membership scan over the
-   accumulator made large batched transactions quadratic in batch size. *)
-let touched_rids ops =
-  let seen = Rid.Tbl.create 64 in
-  List.fold_left
-    (fun acc op ->
-      let rid =
-        match op with
-        | Wal.Insert (rid, _) | Wal.Update (rid, _, _) | Wal.Delete (rid, _) -> rid
-      in
-      if Rid.Tbl.mem seen rid then acc
-      else begin
-        Rid.Tbl.replace seen rid ();
-        rid :: acc
-      end)
-    [] ops
-
-(* Commit-time log force routes through the pipeline; see
-   [Disk_store.on_commit]. The pipeline stamps the transaction's commit
-   timestamp, under which we install one version per touched record —
-   the post-commit state (None for a delete tombstone). *)
-let on_commit t (txn : Txn.t) =
-  match Hashtbl.find_opt t.undo txn.id with
-  | None -> ()
-  | Some undo_ops ->
-      Commit_pipeline.on_commit t.pipeline txn;
-      let ts = Txn.commit_ts txn in
-      List.iter
-        (fun rid ->
-          Mvcc.install t.chains ~ts rid (Rid.Tbl.find_opt t.records rid);
-          Rid.Tbl.replace t.dirty rid ())
-        (touched_rids undo_ops);
-      Mvcc.maybe_prune t.chains ~watermark:(Txn.gc_watermark t.mgr);
-      Hashtbl.remove t.undo txn.id
-
-let on_abort t (txn : Txn.t) =
-  if not t.crashed then begin
-    match Hashtbl.find_opt t.undo txn.id with
-    | None -> ()
-    | Some undo_ops ->
-        List.iter (apply_undo t) undo_ops;
-        Wal.append t.wal (Wal.Abort txn.id);
-        Hashtbl.remove t.undo txn.id;
-        Commit_pipeline.tick t.pipeline
-  end
-
-let prune_versions_impl t () =
-  check_usable t;
-  Mvcc.prune t.chains ~watermark:(Txn.gc_watermark t.mgr)
-
-(* Full-anchor / incremental-delta checkpoint chain; the logic mirrors
-   [Disk_store.checkpoint_impl] minus the buffer-pool flush and bloom. *)
-let write_ckpt t ~seq ~full record =
-  let record_len =
-    let w = Ode_util.Binc.writer () in
-    Wal.encode_record w record;
-    Bytes.length (Ode_util.Binc.contents w)
-  in
-  Commit_pipeline.materialize t.pipeline;
-  Wal.append t.wal record;
-  Commit_pipeline.flush t.pipeline;
-  t.ckpt_seq <- seq + 1;
-  Rid.Tbl.reset t.dirty;
-  if full then begin
-    t.ckpt_fulls <- t.ckpt_fulls + 1;
-    t.last_full_seq <- seq;
-    Wal.retire_below t.wal ~offset:(Wal.durable_size t.wal - record_len)
-  end
-  else begin
-    t.ckpt_deltas <- t.ckpt_deltas + 1;
-    t.ckpt_delta_bytes <- t.ckpt_delta_bytes + record_len
-  end;
-  Commit_pipeline.note_checkpoint t.pipeline;
-  Mvcc.prune t.chains ~watermark:(Txn.gc_watermark t.mgr)
-
-let checkpoint_impl t () =
-  check_usable t;
-  if Hashtbl.length t.undo > 0 then fail "checkpoint with in-flight transactions";
-  let seq = t.ckpt_seq in
-  let full = t.last_full_seq < 0 || seq - t.last_full_seq >= t.ckpt_full_every in
-  let record =
-    if full then
-      Wal.Checkpoint
-        (List.map
-           (fun rid ->
-             match Rid.Tbl.find_opt t.records rid with
-             | Some payload -> (rid, payload)
-             | None -> fail "checkpoint: dangling rid %a" Rid.pp rid)
-           (sorted_rids t))
-    else begin
-      let entries =
-        Rid.Tbl.fold (fun rid () acc -> (rid, Rid.Tbl.find_opt t.records rid) :: acc) t.dirty []
-      in
-      let entries = List.sort (fun (a, _) (b, _) -> Rid.compare a b) entries in
-      Wal.Ckpt_delta { seq; base = t.last_full_seq; entries }
-    end
-  in
-  write_ckpt t ~seq ~full record
-
-(* Recovery's anchor: log the just-loaded entries directly instead of
-   re-reading every record; the fresh store's empty WAL also makes the
-   length-probe encode and the retirement call dead weight (see
-   [Disk_store.anchor_from]). *)
-let anchor_from t entries =
-  check_usable t;
-  if Hashtbl.length t.undo > 0 then fail "checkpoint with in-flight transactions";
-  if Wal.durable_size t.wal > 0 then fail "anchor_from into a store with WAL history";
-  let seq = t.ckpt_seq in
-  Commit_pipeline.materialize t.pipeline;
-  Wal.append t.wal (Wal.Checkpoint entries);
-  Commit_pipeline.flush t.pipeline;
-  t.ckpt_seq <- seq + 1;
-  Rid.Tbl.reset t.dirty;
-  t.ckpt_fulls <- t.ckpt_fulls + 1;
-  t.last_full_seq <- seq;
-  Commit_pipeline.note_checkpoint t.pipeline;
-  Mvcc.prune t.chains ~watermark:(Txn.gc_watermark t.mgr)
-
-let counters_impl t () =
-  [
-    ("inserts", t.inserts);
-    ("reads", t.reads);
-    ("updates", t.updates);
-    ("deletes", t.deletes);
-    ("wal_flushes", Wal.flush_count t.wal);
-    ("wal_bytes", Wal.durable_size t.wal);
-    ("wal_footprint", Wal.retained_size t.wal);
-    ("segments_sealed", Wal.segments_sealed t.wal);
-    ("segments_retired", Wal.segments_retired t.wal);
-    ("wal_retired_bytes", Wal.retired_bytes t.wal);
-    ("ckpt_fulls", t.ckpt_fulls);
-    ("ckpt_deltas", t.ckpt_deltas);
-    ("ckpt_incremental_bytes", t.ckpt_delta_bytes);
-    ("dirty_rids", Rid.Tbl.length t.dirty);
-  ]
-  @ Commit_pipeline.counters t.pipeline
-  @ Mvcc.counters t.chains
-  @ [
-      ("mvcc.oldest_snapshot_lag", Txn.oldest_snapshot_lag t.mgr);
-      ("mvcc.live_snapshots", Txn.live_snapshot_count t.mgr);
-    ]
-
-let create ?flush_spin ?flush_sleep ?durability ?(rid_base = 0) ?(rid_stride = 1)
-    ?(wal_segment_bytes = 0) ?(ckpt_full_every = 1) ?auto_ckpt_bytes ~mgr ~name () =
-  if rid_stride < 1 || rid_base < 0 || rid_base >= rid_stride then
-    fail "store %s: rid_base %d must lie in [0, rid_stride=%d)" name rid_base rid_stride;
-  if ckpt_full_every < 1 then fail "store %s: ckpt_full_every must be >= 1" name;
-  let wal = Wal.create ?flush_spin ?flush_sleep ~segment_bytes:wal_segment_bytes () in
-  let t =
-    {
-      name;
-      mgr;
-      wal;
-      pipeline = Commit_pipeline.create ?mode:durability ?auto_ckpt_bytes wal;
-      records = Rid.Tbl.create 256;
-      sorted_rids = None;
-      undo = Hashtbl.create 8;
-      chains = Mvcc.create ();
-      dirty = Rid.Tbl.create 64;
-      ckpt_full_every;
-      ckpt_seq = 0;
-      last_full_seq = -1;
-      rid_base;
-      rid_stride;
-      next_rid = rid_base;
-      crashed = false;
-      inserts = 0;
-      reads = 0;
-      updates = 0;
-      deletes = 0;
-      ckpt_fulls = 0;
-      ckpt_deltas = 0;
-      ckpt_delta_bytes = 0;
-    }
-  in
-  Txn.register_participant mgr
-    { Txn.p_name = name; p_prepare = (fun _ -> ()); on_commit = on_commit t; on_abort = on_abort t };
-  t
-
-let ops t =
-  {
-    Store.name = t.name;
-    insert = insert_impl t;
-    read = read_impl t;
-    update = update_impl t;
-    delete = delete_impl t;
-    iter = iter_impl t;
-    read_committed = read_committed_impl t;
-    version_ts = version_ts_impl t;
-    prune_versions = prune_versions_impl t;
-    record_count = (fun () -> Rid.Tbl.length t.records);
-    maybe_present =
-      (fun rid ->
-        check_usable t;
-        Rid.Tbl.mem t.records rid);
-    in_flight = (fun () -> Hashtbl.length t.undo);
-    checkpoint = checkpoint_impl t;
-    counters = counters_impl t;
-    wal = t.wal;
-    pipeline = t.pipeline;
-  }
-
-(* Smallest candidate rid > [rid] in the store's residue class, so fresh
-   rids after recovery keep the shard partitioning invariant. *)
-let align_after t rid =
-  let n = Rid.to_int rid + 1 in
-  if n <= t.rid_base then t.rid_base
-  else t.rid_base + ((n - t.rid_base + t.rid_stride - 1) / t.rid_stride) * t.rid_stride
-
-let load_bulk t entries =
-  if Rid.Tbl.length t.records > 0 then fail "load_bulk into non-empty store %s" t.name;
-  List.iter
-    (fun (rid, payload) ->
-      Rid.Tbl.replace t.records rid payload;
-      (* Baseline version at ts 0: recovered state predates every future
-         snapshot, and uncommitted pre-crash work never had a version. *)
-      Mvcc.load t.chains ~ts:0 rid (Some payload);
-      t.next_rid <- max t.next_rid (align_after t rid))
-    entries;
-  t.sorted_rids <- None
-
-let crash t =
-  Rid.Tbl.reset t.records;
-  t.sorted_rids <- None;
-  Mvcc.clear t.chains;
-  t.crashed <- true
+(* The fault plane is private and never armed: the store performs no
+   simulated I/O, and one plane shared with the WAL keeps lock
+   acquisition on the same code path as the disk store's. *)
+let create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride ?wal_segment_bytes
+    ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name () =
+  create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride ?wal_segment_bytes
+    ?ckpt_full_every ?auto_ckpt_bytes ~faults:(Faults.create ()) ~mgr ~name
+    (Rid.Tbl.create 256)

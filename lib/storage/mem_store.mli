@@ -1,13 +1,14 @@
-(** Dali-like main-memory record store.
+(** Dali-like main-memory record store: the {!Record_store} logical layer
+    over a hash table.
 
-    Records live in a hash table; there is no pager or buffer pool, so the
-    read path is a single probe — the point of MM-Ode. Durability and
-    transaction semantics are identical to the disk store: the same WAL
-    format, the same per-transaction undo, the same strict 2PL record
+    There is no pager or buffer pool, so the read path is a single probe
+    — the point of MM-Ode. Durability and transaction semantics are the
+    disk store's, because the logical layer is the same code: the same
+    WAL format, the same per-transaction undo, the same strict 2PL record
     locking, so the two backends are interchangeable behind {!Store.t}
     (experiment T7 measures the difference). *)
 
-type t
+include Record_store.S
 
 val create :
   ?flush_spin:int ->
@@ -22,27 +23,6 @@ val create :
   name:string ->
   unit ->
   t
-(** [flush_spin] simulates log-force latency and [flush_sleep] its
-    blocking variant (see {!Wal.create}); [durability] selects the commit
-    pipeline's mode ({!Commit_pipeline.mode}, default [Immediate]).
-    [rid_base]/[rid_stride] (defaults 0/1) restrict freshly minted rids to
-    the residue class [rid_base (mod rid_stride)] — how {!Ode_parallel}
-    gives shard [i] of [K] ownership of every oid ≡ i (mod K) without
-    coordination. Raises [Store_error] unless
-    [0 <= rid_base < rid_stride]. [wal_segment_bytes], [ckpt_full_every]
-    and [auto_ckpt_bytes] are the capacity knobs, as in
-    {!Disk_store.create} (no bloom: the record table is its own O(1)
-    membership probe). *)
-
-val ops : t -> Store.t
-
-val load_bulk : t -> (Rid.t * bytes) list -> unit
-(** Physically install records (recovery only; store must be empty). *)
-
-val anchor_from : t -> (Rid.t * bytes) list -> unit
-(** Write a full anchor checkpoint from the just-loaded entries without
-    re-reading them; see {!Disk_store.anchor_from}. *)
-
-val crash : t -> unit
-(** Simulate a crash: in-memory contents are lost; only the WAL's durable
-    prefix survives. *)
+(** Parameters as in {!Disk_store.create}. There is no [faults]: the
+    store's fault plane is private and never armed. There is no bloom
+    filter either: the record table is its own O(1) membership probe. *)

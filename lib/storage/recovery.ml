@@ -70,26 +70,27 @@ let committed_state records =
   let entries = Rid.Tbl.fold (fun rid payload acc -> (rid, payload) :: acc) !state [] in
   List.sort (fun (a, _) (b, _) -> Rid.compare a b) entries
 
-let recover_disk ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep ?durability
-    ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ?bloom_seed
-    ?bloom_fp_rate ~mgr ~name ~wal_bytes () =
+(* Both stores recover the same way: decode the durable log, fold it to
+   the committed state, load that into a fresh store and anchor on it. *)
+let rebuild ~create ~load_bulk ~anchor_from wal_bytes =
   let state = committed_state (Wal.decode_records wal_bytes) in
-  let store =
-    Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep ?durability
-      ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes
-      ?bloom_seed ?bloom_fp_rate ~mgr ~name ()
-  in
-  Disk_store.load_bulk store state;
-  Disk_store.anchor_from store state;
+  let store = create () in
+  load_bulk store state;
+  anchor_from store state;
   store
+
+let recover_disk ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep ?durability
+    ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name
+    ~wal_bytes () =
+  rebuild ~load_bulk:Disk_store.load_bulk ~anchor_from:Disk_store.anchor_from wal_bytes
+    ~create:(fun () ->
+      Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep ?durability
+        ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ~mgr
+        ~name ())
 
 let recover_mem ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride ?wal_segment_bytes
     ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name ~wal_bytes () =
-  let state = committed_state (Wal.decode_records wal_bytes) in
-  let store =
-    Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-      ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name ()
-  in
-  Mem_store.load_bulk store state;
-  Mem_store.anchor_from store state;
-  store
+  rebuild ~load_bulk:Mem_store.load_bulk ~anchor_from:Mem_store.anchor_from wal_bytes
+    ~create:(fun () ->
+      Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
+        ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name ())

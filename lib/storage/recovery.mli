@@ -45,8 +45,6 @@ val recover_disk :
   ?wal_segment_bytes:int ->
   ?ckpt_full_every:int ->
   ?auto_ckpt_bytes:int ->
-  ?bloom_seed:int ->
-  ?bloom_fp_rate:float ->
   mgr:Txn.mgr ->
   name:string ->
   wal_bytes:bytes ->
@@ -59,8 +57,8 @@ val recover_disk :
     [rid_base]/[rid_stride] must repeat the crashed store's shard
     partitioning so post-recovery allocations stay in its residue class
     (see {!Disk_store.create}). The capacity knobs
-    ([wal_segment_bytes], [ckpt_full_every], [auto_ckpt_bytes], bloom
-    parameters) should likewise repeat the crashed store's settings. *)
+    ([wal_segment_bytes], [ckpt_full_every], [auto_ckpt_bytes]) should
+    likewise repeat the crashed store's settings. *)
 
 val recover_mem :
   ?flush_spin:int ->
@@ -76,3 +74,4 @@ val recover_mem :
   wal_bytes:bytes ->
   unit ->
   Mem_store.t
+(** {!recover_disk} for the main-memory store. *)

@@ -22,6 +22,7 @@ type t = {
          a checkpoint needs this to be 0. *)
   checkpoint : unit -> unit;
   counters : unit -> (string * int) list;
+  crash : unit -> unit;
   wal : Wal.t;
   pipeline : Commit_pipeline.t;
 }

@@ -1,9 +1,10 @@
 (** Uniform record-store interface.
 
     Disk-based Ode (on EOS) and MM-Ode (on Dali) share one object manager;
-    we mirror that by giving both store implementations this single
-    record-of-functions interface, so the object store, trigger runtime and
-    benchmarks are written once and run against either backend.
+    we mirror that with one logical store layer ({!Record_store}) over two
+    physical record maps, both exposed through this record-of-functions
+    interface, so the object store, trigger runtime and benchmarks are
+    written once and run against either backend.
 
     Operations run under a transaction. A {e regular} transaction follows
     strict 2PL: [read] takes a shared lock on the record, [insert]/
@@ -76,6 +77,10 @@ type t = {
   counters : unit -> (string * int) list;
       (** Backend-specific counters (page I/O, pool hits, WAL flushes,
           [mvcc.*], ...) for the benchmark harness. *)
+  crash : unit -> unit;
+      (** Simulate a crash: the volatile state (records in memory,
+          buffered frames, version chains) is lost and the store refuses
+          further use. Only the WAL's durable prefix survives. *)
   wal : Wal.t;
   pipeline : Commit_pipeline.t;
       (** The store's group-commit durability pipeline; commit-time log

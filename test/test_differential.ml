@@ -106,6 +106,18 @@ let differential_run ~page_size ~pool_capacity seed rounds =
   let _, from_mem = recover "mem" mem.Store.wal in
   let _, from_disk = recover "disk" disk.Store.wal in
   if from_mem <> from_disk then Alcotest.fail "recovered committed states diverged";
+  (* One logical layer over two physical maps: the logs and the logical
+     counters must match byte for byte and count for count. *)
+  if not (Bytes.equal (Wal.durable_bytes mem.Store.wal) (Wal.durable_bytes disk.Store.wal)) then
+    Alcotest.fail "durable WAL bytes diverged";
+  let logical ops =
+    let counters = ops.Store.counters () in
+    List.map
+      (fun name -> (name, List.assoc name counters))
+      [ "inserts"; "reads"; "updates"; "deletes"; "wal_flushes"; "wal_bytes"; "ckpt_fulls";
+        "ckpt_deltas"; "dirty_rids" ]
+  in
+  Alcotest.(check (list (pair string int))) "logical counters agree" (logical mem) (logical disk);
   let probe = Txn.begin_txn ~system:true mgr in
   let final = dump mem probe in
   Txn.commit probe;

@@ -178,6 +178,31 @@ let recover_twice kind () =
       Alcotest.(check (float 1e-9)) "still there after two crashes" 10.0
         (Credit_card.limit env txn card))
 
+(* A recovered disk session keeps the crashed one's buffer pool: data
+   spanning more pages than a 4-frame pool (but fewer than the default
+   64) must still evict after recovery. *)
+let recovery_keeps_pool_config () =
+  let env = Session.create ~store:`Disk ~page_size:512 ~pool_capacity:4 () in
+  Credit_card.define_all env;
+  let cards =
+    Session.with_txn env (fun txn ->
+        let customer = Credit_card.new_customer env txn ~name:"R" in
+        List.init 60 (fun i ->
+            Credit_card.new_card env txn ~customer ~limit:(float_of_int (100 + i)) ()))
+  in
+  let pages = List.assoc "objects.pages" (Session.counters env) in
+  Alcotest.(check bool) "data spans more pages than the pool" true (pages > 4 && pages < 64);
+  let env = Session.recover (Session.crash env) in
+  Credit_card.define_all env;
+  Session.with_txn env (fun txn ->
+      List.iteri
+        (fun i card ->
+          Alcotest.(check (float 1e-9)) "limit recovered" (float_of_int (100 + i))
+            (Credit_card.limit env txn card))
+        cards);
+  Alcotest.(check bool) "recovered pool evicts" true
+    (List.assoc "objects.pool_evictions" (Session.counters env) > 0)
+
 let both_kinds name f =
   [
     Alcotest.test_case (name ^ " (mem)") `Quick (f `Mem);
@@ -192,4 +217,5 @@ let suite =
       both_kinds "unflushed work lost" unflushed_work_is_lost;
       both_kinds "phoenix queue survives crash" phoenix_survives_crash;
       both_kinds "double crash" recover_twice;
+      [ Alcotest.test_case "recovery keeps the disk pool config" `Quick recovery_keeps_pool_config ];
     ]
