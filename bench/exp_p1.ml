@@ -1,5 +1,5 @@
-(* P1 — Hot-path posting engine: event-filtered index, write-back state
-   cache, dense dispatch.
+(* P1 — Hot-path posting engine: event-filtered index and write-back state
+   cache.
 
    Measures Runtime.post with pre-resolved event ids (no name lookup) on a
    synthetic "Hot" class: [alphabet] declared user events, a perpetual
@@ -12,9 +12,10 @@
      fan-in axis     activations per object, irrelevant events: the filter
                      should make cost ~independent of fan-in while the
                      reference engine pays a store read per activation
-     alphabet axis   larger declared alphabets grow the FSM's dense table
-     relevant mix    every post moves a machine: write-back cache +
-                     dense dispatch, filter can't help
+     alphabet axis   larger declared alphabets widen the live-event
+                     bitsets and the sparse transition lists
+     relevant mix    every post moves a machine: the write-back cache
+                     helps, the filter can't
      macro           committed transactions (flush cost included)
 
    Acceptance (ISSUE 3): >= 2x posting throughput vs the reference engine
@@ -167,7 +168,7 @@ let print_part ~columns rows =
 
 let run () =
   Bench_common.section "P1"
-    "hot-path posting engine: filter + write-back cache + dense dispatch";
+    "hot-path posting engine: filter + write-back cache";
   let smoke = !Bench_common.smoke in
   let quota = if smoke then 0.05 else 0.25 in
   let fan_ins = if smoke then [ 1; 8 ] else [ 1; 8; 64 ] in
@@ -355,8 +356,7 @@ let run () =
       let s = Runtime.stats (Session.runtime env) in
       Printf.printf
         "full-engine counters: posts=%d probes=%d index_skips=%d cache_hits=%d \
-         cache_misses=%d cache_flushes=%d dense_dispatches=%d state_writes=%d\n"
+         cache_misses=%d cache_flushes=%d state_writes=%d\n"
         s.Runtime.posts s.Runtime.index_probes s.Runtime.index_skips s.Runtime.cache_hits
-        s.Runtime.cache_misses s.Runtime.cache_flushes s.Runtime.dense_dispatches
-        s.Runtime.state_writes
+        s.Runtime.cache_misses s.Runtime.cache_flushes s.Runtime.state_writes
   | None -> ())

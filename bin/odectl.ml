@@ -17,7 +17,6 @@ open Cmdliner
 module Ast = Ode_event.Ast
 module Parser = Ode_event.Parser
 module Compile = Ode_event.Compile
-module Minimize = Ode_event.Minimize
 module Fsm = Ode_event.Fsm
 module Intern = Ode_event.Intern
 module Session = Ode.Session
@@ -63,27 +62,18 @@ let fsm_cmd =
           resolve_mask = (fun name -> List.assoc_opt name mask_table);
         }
       in
-      match Parser.parse env expr_text with
-      | Error e -> die "%s" (Format.asprintf "%a" Parser.pp_error e)
-      | Ok (anchored, ast) -> begin
-          let alphabet = List.map snd table in
-          match
-            let fsm = Compile.compile ~alphabet ~anchored ast in
-            if raw then fsm
-            else Minimize.simplify fsm |> Minimize.prune_mask_states |> Minimize.trim
-          with
-          | exception Compile.Unsupported msg -> die "%s" msg
-          | fsm ->
-              let event_name id = Intern.name_of_id reg id in
-              if dot then print_string (Fsm.to_dot ~event_name fsm)
-              else begin
-                Format.printf "expression: %s%s@."
-                  (if anchored then "^ " else "")
-                  (Ast.to_string ~event_name ast);
-                Format.printf "%a@." (Fsm.pp ~event_name ()) fsm
-              end;
-              0
-        end
+      match Compile.of_source ~raw env ~alphabet:(List.map snd table) expr_text with
+      | Error msg -> die "%s" msg
+      | Ok (anchored, ast, fsm) ->
+          let event_name id = Intern.name_of_id reg id in
+          if dot then print_string (Fsm.to_dot ~event_name fsm)
+          else begin
+            Format.printf "expression: %s%s@."
+              (if anchored then "^ " else "")
+              (Ast.to_string ~event_name ast);
+            Format.printf "%a@." (Fsm.pp ~event_name ()) fsm
+          end;
+          0
     end
   in
   let events =
@@ -702,7 +692,7 @@ let stats_cmd =
   in
   let engine =
     Arg.(value & opt string "full" & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"'full' (filter + write-back cache + dense dispatch) or 'reference' \
+           ~doc:"'full' (filter + write-back cache + mvcc) or 'reference' \
                  (every layer off — the unoptimised posting path).")
   in
   let durability =

@@ -4,7 +4,7 @@ module Minimize = Ode_event.Minimize
 module IntSet = Fsm.IntSet
 
 (* A configuration is a settled machine state; [dead] is permanent. *)
-let dead = -1
+let dead = Fsm.dead
 
 (* Settle a machine from [s] by evaluating pending masks exactly as the
    runtime cascade does (smallest pending mask first, revisit guard

@@ -15,7 +15,6 @@ module Intern = Ode_event.Intern
 module Ast = Ode_event.Ast
 module Parser = Ode_event.Parser
 module Compile = Ode_event.Compile
-module Minimize = Ode_event.Minimize
 module Fsm = Ode_event.Fsm
 module Coupling = Ode_trigger.Coupling
 module Analyze = Ode_analysis.Analyze
@@ -40,7 +39,7 @@ type disk_config = { page_size : int option; pool_capacity : int option; io_spin
 
 type monitor = {
   m_fsm : Ode_event.Fsm.t;
-  m_masks : (int * (vobj -> bool)) list;
+  m_masks : (vobj -> bool) array;  (* by mask id *)
   m_action : vobj -> unit;
   m_once : bool;
   mutable m_state : int;
@@ -253,6 +252,36 @@ let declared_event_id t ~cls basic =
   in
   go (ancestors t cls)
 
+let user_event t ~cls ename =
+  match declared_event_id t ~cls (Intern.User ename) with
+  | Some id -> id
+  | None -> fail "class %s does not declare user event %s" cls ename
+
+(* Compile trigger source [text] for class [cls] over [alphabet]:
+   unqualified events resolve against [cls], [Q.]-qualified ones against
+   defined class [Q]; [masks] are the usable mask names, numbered by
+   position. [what] prefixes error messages. *)
+let compile_event t ~cls ~alphabet ~masks ~what text =
+  let env =
+    {
+      Parser.resolve_event =
+        (fun ?cls:qualifier basic ->
+          match qualifier with
+          | None -> declared_event_id t ~cls basic
+          | Some q -> if Hashtbl.mem t.classes q then declared_event_id t ~cls:q basic else None);
+      resolve_mask =
+        (fun name ->
+          List.find_map Fun.id
+            (List.mapi
+               (fun mask_id mask_name ->
+                 if String.equal mask_name name then Some { Ast.mask_id; mask_name } else None)
+               masks));
+    }
+  in
+  match Compile.of_source env ~alphabet text with
+  | Ok compiled -> compiled
+  | Error msg -> fail "%s: %s" what msg
+
 (* The declared [before f] twin of an [after f] event, if any ancestor of
    the interning class declares it: input to the analyzer's anchor-order
    heuristic (a posting plan emits [before f] strictly before [after f]). *)
@@ -451,46 +480,11 @@ let define_class t ~name ?(parents = []) ?(fields = []) ?(methods = []) ?(events
     let inherited = List.concat_map (fun d -> d.Trigger_def.d_txn_events) parent_descriptors in
     own @ inherited
   in
-  (* Mask environment: ids are positional within this class definition. *)
-  let mask_table =
-    List.mapi
-      (fun i (mask_name, impl) -> ({ Ast.mask_id = i; mask_name }, impl))
-      masks
-  in
-  let parser_env =
-    {
-      Parser.resolve_event =
-        (fun ?cls basic ->
-          match cls with
-          | None -> declared_event_id t ~cls:name basic
-          | Some qualifier ->
-              if Hashtbl.mem t.classes qualifier then declared_event_id t ~cls:qualifier basic
-              else None);
-      resolve_mask =
-        (fun mask_name ->
-          List.find_map
-            (fun (mask, _) ->
-              if String.equal mask.Ast.mask_name mask_name then Some mask else None)
-            mask_table);
-    }
-  in
   let compile_trigger index spec =
-    let anchored, expr =
-      match Parser.parse parser_env spec.tr_event with
-      | Ok result -> result
-      | Error e ->
-          fail "class %s, trigger %s: %a" name spec.tr_name Parser.pp_error e
-    in
-    (* Cross-class references (§8 inter-object triggers) may bring event
-       ids from other classes' alphabets; the machine's alphabet is the
-       union (and so is what [any] expands to for such triggers). *)
-    let trigger_alphabet = List.sort_uniq Int.compare (alphabet @ Ast.events expr) in
-    let fsm =
-      try
-        Compile.compile ~alphabet:trigger_alphabet ~anchored expr
-        |> Minimize.simplify |> Minimize.prune_mask_states |> Minimize.trim
-      with Compile.Unsupported msg ->
-        fail "class %s, trigger %s: %s" name spec.tr_name msg
+    let anchored, expr, fsm =
+      compile_event t ~cls:name ~alphabet ~masks:(List.map fst masks)
+        ~what:(Printf.sprintf "class %s, trigger %s" name spec.tr_name)
+        spec.tr_event
     in
     (* Resolve the [posts] clause: each entry is an event-declaration
        string ("after RaiseLimit", "BigBuy", optionally "Cls."-qualified)
@@ -549,15 +543,13 @@ let define_class t ~name ?(parents = []) ?(fields = []) ?(methods = []) ?(events
         ( List.sort_uniq String.compare (List.map (resolve_effect "reads") spec.tr_reads),
           List.sort_uniq String.compare (List.map (resolve_effect "writes") spec.tr_writes) )
     in
-    let used_masks = Ast.masks expr in
+    (* Mask ids are positional within this class definition. *)
     let mask_fns =
       List.map
         (fun (mask : Ast.mask) ->
-          let _, impl =
-            List.find (fun (m, _) -> m.Ast.mask_id = mask.Ast.mask_id) mask_table
-          in
+          let impl = snd (List.nth masks mask.Ast.mask_id) in
           (mask.Ast.mask_id, fun ctx -> impl t ctx))
-        used_masks
+        (Ast.masks expr)
     in
     {
       Trigger_def.t_name = spec.tr_name;
@@ -741,10 +733,8 @@ let set_field t txn oid field v =
   Database.set_field t.db txn oid field v
 
 let post_event ?(args = []) t txn oid ename =
-  let cls = class_of t txn oid in
-  match declared_event_id t ~cls (Intern.User ename) with
-  | Some id -> Runtime.post ~payload:args t.rt txn ~obj:oid ~event:id
-  | None -> fail "class %s does not declare user event %s" cls ename
+  let event = user_event t ~cls:(class_of t txn oid) ename in
+  Runtime.post ~payload:args t.rt txn ~obj:oid ~event
 
 (* Post by pre-interned global id — how {!Ode_parallel} applies a sealed
    cross-shard envelope: the origin shard resolved the name against its
@@ -766,11 +756,7 @@ let post_event_fast ?(args = []) t txn oid ~event =
     Runtime.post ~payload:args t.rt txn ~obj:oid ~event
   end
 
-let user_event_id t txn oid ename =
-  let cls = class_of t txn oid in
-  match declared_event_id t ~cls (Intern.User ename) with
-  | Some id -> id
-  | None -> fail "class %s does not declare user event %s" cls ename
+let user_event_id t txn oid ename = user_event t ~cls:(class_of t txn oid) ename
 
 let rec invoke t txn oid mname args =
   let cls = class_of t txn oid in
@@ -990,43 +976,20 @@ module Volatile = struct
   let class_of v = v.v_cls
 
   (* Advance the volatile object's monitors on an event (monitored
-     classes, §8). Same shape as the runtime's PostEvent, minus
+     classes, §8). Same PostEvent step as the runtime's, minus
      transactions, persistence and locks: advance all, then fire. *)
   let post_monitors v event =
     if v.v_monitors <> [] then begin
-      let module Fsm = Ode_event.Fsm in
-      let module Sym = Ode_event.Sym in
       let ready = ref [] in
       let advance m =
-        if m.m_active && m.m_state >= 0 then begin
-          let cascade state =
-            let rec go state seen =
-              match Fsm.pending_masks m.m_fsm state with
-              | [] -> state
-              | mask :: _ ->
-                  if List.mem state seen then state
-                  else begin
-                    let pred =
-                      match List.assoc_opt mask m.m_masks with
-                      | Some pred -> pred
-                      | None -> fun _ -> false
-                    in
-                    let sym = if pred v then Sym.MTrue mask else Sym.MFalse mask in
-                    match Fsm.step m.m_fsm state sym with
-                    | Fsm.Goto next -> go next (state :: seen)
-                    | Fsm.Dead -> -1
-                    | Fsm.Stay -> state
-                  end
-            in
-            go state []
-          in
-          match Fsm.step m.m_fsm m.m_state (Sym.Ev event) with
+        if m.m_active && m.m_state <> Fsm.dead then begin
+          let mask id = m.m_masks.(id) v in
+          match Fsm.advance m.m_fsm ~state:m.m_state ~event ~mask with
           | Fsm.Stay -> ()
-          | Fsm.Dead -> m.m_state <- -1
-          | Fsm.Goto next ->
-              let final = cascade next in
+          | Fsm.Dead -> m.m_state <- Fsm.dead
+          | Fsm.Goto final ->
               m.m_state <- final;
-              if final >= 0 && Fsm.is_accept m.m_fsm final then ready := m :: !ready
+              if Fsm.is_accept m.m_fsm final then ready := m :: !ready
         end
       in
       List.iter advance (List.rev v.v_monitors);
@@ -1060,60 +1023,24 @@ module Volatile = struct
     end
 
   and post_user_event t v ename =
-    if v.v_monitors <> [] then begin
-      match declared_event_id t ~cls:v.v_cls (Intern.User ename) with
-      | Some id -> post_monitors v id
-      | None -> fail "class %s does not declare user event %s" v.v_cls ename
-    end
+    if v.v_monitors <> [] then post_monitors v (user_event t ~cls:v.v_cls ename)
 
   let attach t v ~event ?(masks = []) ~action ?(perpetual = true) () =
-    let entry = class_entry t v.v_cls in
-    ignore entry;
-    let descriptor =
-      Trigger_def.Registry.find_exn (Runtime.registry t.rt) v.v_cls
+    let descriptor = Trigger_def.Registry.find_exn (Runtime.registry t.rt) v.v_cls in
+    let _, _, fsm =
+      compile_event t ~cls:v.v_cls ~alphabet:descriptor.Trigger_def.d_alphabet
+        ~masks:(List.map fst masks) ~what:("monitored trigger on " ^ v.v_cls) event
     in
-    let mask_table = List.mapi (fun i (name, pred) -> ({ Ast.mask_id = i; mask_name = name }, pred)) masks in
-    let parser_env =
-      {
-        Parser.resolve_event =
-          (fun ?cls basic ->
-            match cls with
-            | None -> declared_event_id t ~cls:v.v_cls basic
-            | Some qualifier ->
-                if Hashtbl.mem t.classes qualifier then declared_event_id t ~cls:qualifier basic
-                else None);
-        resolve_mask =
-          (fun name ->
-            List.find_map
-              (fun (mask, _) ->
-                if String.equal mask.Ast.mask_name name then Some mask else None)
-              mask_table);
-      }
-    in
-    ignore descriptor;
-    let anchored, expr =
-      match Parser.parse parser_env event with
-      | Ok result -> result
-      | Error e -> fail "monitored trigger on %s: %a" v.v_cls Parser.pp_error e
-    in
-    let alphabet =
-      List.sort_uniq Int.compare
-        ((Trigger_def.Registry.find_exn (Runtime.registry t.rt) v.v_cls).Trigger_def.d_alphabet
-        @ Ast.events expr)
-    in
-    let fsm =
-      try
-        Compile.compile ~alphabet ~anchored expr
-        |> Minimize.simplify |> Minimize.prune_mask_states |> Minimize.trim
-      with Compile.Unsupported msg -> fail "monitored trigger on %s: %s" v.v_cls msg
-    in
+    let m_masks = Array.of_list (List.map snd masks) in
     let monitor =
       {
         m_fsm = fsm;
-        m_masks = List.map (fun (mask, pred) -> (mask.Ast.mask_id, pred)) mask_table;
+        m_masks;
         m_action = action;
         m_once = not perpetual;
-        m_state = fsm.Ode_event.Fsm.start;
+        (* A start state that evaluates masks settles now, as an
+           activation's does. *)
+        m_state = Fsm.settle fsm ~mask:(fun id -> m_masks.(id) v) fsm.Fsm.start;
         m_active = true;
       }
     in
@@ -1254,7 +1181,6 @@ let counters t =
       ("rt.cache_hits", rt.Runtime.cache_hits);
       ("rt.cache_misses", rt.Runtime.cache_misses);
       ("rt.cache_flushes", rt.Runtime.cache_flushes);
-      ("rt.dense_dispatches", rt.Runtime.dense_dispatches);
       ("rt.fires_immediate", rt.Runtime.fires_immediate);
       ("rt.fires_end", rt.Runtime.fires_end);
       ("rt.fires_dependent", rt.Runtime.fires_dependent);

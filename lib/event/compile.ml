@@ -276,3 +276,21 @@ let determinize ~alphabet (nfa : Nfa.t) =
 let compile ~alphabet ?(anchored = false) expr =
   let wrapped = if anchored then expr else Ast.Seq (Ast.Star Ast.Any, expr) in
   determinize ~alphabet (thompson ~alphabet wrapped)
+
+let of_source ?(raw = false) env ~alphabet text =
+  match Parser.parse env text with
+  | Error e -> Error (Format.asprintf "%a" Parser.pp_error e)
+  | Ok (anchored, expr) -> begin
+      (* Cross-class references (§8 inter-object triggers) may bring event
+         ids from other classes' alphabets; the machine's alphabet is the
+         union (and so is what [any] expands to for such triggers). *)
+      let alphabet = List.sort_uniq Int.compare (alphabet @ Ast.events expr) in
+      match compile ~alphabet ~anchored expr with
+      | fsm ->
+          let fsm =
+            if raw then fsm
+            else Minimize.simplify fsm |> Minimize.prune_mask_states |> Minimize.trim
+          in
+          Ok (anchored, expr, fsm)
+      | exception Unsupported msg -> Error msg
+    end

@@ -38,3 +38,11 @@ val determinize : alphabet:int list -> Nfa.t -> Fsm.t
 val compile : alphabet:int list -> ?anchored:bool -> Ast.t -> Fsm.t
 (** [thompson] + [determinize], with the implicit [( *any ),] prefix unless
     [anchored] (default false). *)
+
+val of_source :
+  ?raw:bool -> Parser.env -> alphabet:int list -> string -> (bool * Ast.t * Fsm.t, string) result
+(** The one path from trigger source text to a run-time machine: parse
+    under [env], {!compile} over [alphabet] plus every event the expression
+    names, then (unless [raw]) [Minimize.simplify], [prune_mask_states] and
+    [trim]. Returns [(anchored, expr, fsm)], or the parse error or
+    {!Unsupported} message. *)

@@ -9,17 +9,11 @@ type state = {
   trans : (Sym.t * int) array;
 }
 
-type dispatch =
-  | Unbuilt
-  | Sparse_only
-  | Dense of { slot_of : int array; cells : int array; nslots : int }
-
 type t = {
   states : state array;
   start : int;
   alphabet : IntSet.t;
   mask_ids : IntSet.t;
-  mutable dispatch : dispatch;
   mutable live : Bytes.t option array;
 }
 
@@ -37,7 +31,7 @@ let make ~states ~start ~alphabet ~mask_ids =
             invalid_arg "Fsm.make: transitions not strictly sorted")
         st.trans)
     states;
-  { states; start; alphabet; mask_ids; dispatch = Unbuilt; live = Array.make n None }
+  { states; start; alphabet; mask_ids; live = Array.make n None }
 
 let num_states t = Array.length t.states
 
@@ -49,27 +43,57 @@ let is_accept t i = t.states.(i).accept
 
 let pending_masks t i = t.states.(i).pending
 
-let lookup trans sym =
-  let rec go lo hi =
-    if lo >= hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let s, target = trans.(mid) in
-      let c = Sym.compare sym s in
-      if c = 0 then Some target else if c < 0 then go lo mid else go (mid + 1) hi
-    end
-  in
-  go 0 (Array.length trans)
+(* Binary search of a state's sorted transitions: the index of [sym]'s
+   transition in [trans.(lo..hi-1)], or -1. *)
+let rec find trans sym lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) / 2 in
+    let c = Sym.compare sym (fst trans.(mid)) in
+    if c = 0 then mid else if c < 0 then find trans sym lo mid else find trans sym (mid + 1) hi
+  end
 
 let step t i sym =
   let st = t.states.(i) in
-  match lookup st.trans sym with
-  | Some target -> Goto target
-  | None -> begin
-      match sym with
-      | Sym.Ev e -> if IntSet.mem e t.alphabet then Dead else Stay
-      | Sym.MTrue m | Sym.MFalse m -> if List.mem m st.pending then Dead else Stay
-    end
+  let j = find st.trans sym 0 (Array.length st.trans) in
+  if j >= 0 then Goto (snd st.trans.(j))
+  else begin
+    match sym with
+    | Sym.Ev e -> if IntSet.mem e t.alphabet then Dead else Stay
+    | Sym.MTrue m | Sym.MFalse m -> if List.mem m st.pending then Dead else Stay
+  end
+
+(* ---------------- PostEvent's machine step (§5.4.5) ---------------- *)
+
+let dead = -1
+
+(* Step b: while the current state evaluates masks, step on its first
+   pending mask's value. A state already visited in this cascade ends it,
+   so a mask cycle quiesces instead of looping. A pending mask's
+   pseudo-event is never ignored, so each step is a move or a death. *)
+let settle ?(on_move = ignore) t ~mask state =
+  let rec go state seen =
+    match t.states.(state).pending with
+    | [] -> state
+    | m :: _ when not (List.mem state seen) -> begin
+        match step t state (if mask m then Sym.MTrue m else Sym.MFalse m) with
+        | Goto next ->
+            on_move ();
+            go next (state :: seen)
+        | Dead -> dead
+        | Stay -> state
+      end
+    | _ :: _ -> state
+  in
+  go state []
+
+let advance ?(on_move = ignore) t ~state ~event ~mask =
+  match step t state (Sym.Ev event) with
+  | Goto next ->
+      on_move ();
+      let final = settle ~on_move t ~mask next in
+      if final = dead then Dead else Goto final
+  | (Stay | Dead) as r -> r
 
 (* ---------------- per-state live-event bitsets ---------------- *)
 
@@ -116,69 +140,6 @@ let event_live t ~state ~event =
 
 let live_events t state =
   IntSet.filter (fun e -> event_live t ~state ~event:e) t.alphabet
-
-(* ---------------- hybrid dense dispatch ---------------- *)
-
-(* Cell encoding mirrors [Ode_baselines.Dense_fsm]: >= 0 is a Goto target,
-   -1 is Dead. Alphabet events always resolve to one of those two ([step]
-   only answers [Stay] for out-of-alphabet events, which the slot map
-   rejects before the row probe), so no Stay cell is needed. Rows are
-   |machine alphabet| slots wide — global event ids are compacted to local
-   slots first, which is what keeps the table small under a large global
-   intern space (the §6 objection to dense tables). *)
-let cell_dead = -1
-
-let default_max_cells = 4096
-
-let dense_dispatch ?(max_cells = default_max_cells) t =
-  (match t.dispatch with
-  | Dense _ | Sparse_only -> ()
-  | Unbuilt ->
-      let nslots = IntSet.cardinal t.alphabet in
-      let n = Array.length t.states in
-      if nslots = 0 || n * nslots > max_cells then t.dispatch <- Sparse_only
-      else begin
-        let slot_of = Array.make (universe t) (-1) in
-        let next = ref 0 in
-        IntSet.iter
-          (fun e ->
-            slot_of.(e) <- !next;
-            incr next)
-          t.alphabet;
-        let cells = Array.make (n * nslots) cell_dead in
-        Array.iteri
-          (fun s _ ->
-            IntSet.iter
-              (fun e ->
-                let cell =
-                  match step t s (Sym.Ev e) with
-                  | Goto target -> target
-                  | Dead -> cell_dead
-                  | Stay -> assert false
-                in
-                cells.((s * nslots) + slot_of.(e)) <- cell)
-              t.alphabet)
-          t.states;
-        t.dispatch <- Dense { slot_of; cells; nslots }
-      end);
-  match t.dispatch with Dense _ -> true | Unbuilt | Sparse_only -> false
-
-let dense_active t = match t.dispatch with Dense _ -> true | Unbuilt | Sparse_only -> false
-
-let step_event t state e =
-  match t.dispatch with
-  | Dense { slot_of; cells; nslots } ->
-      if e < 0 || e >= Array.length slot_of then Stay
-      else begin
-        let slot = Array.unsafe_get slot_of e in
-        if slot < 0 then Stay
-        else begin
-          match Array.unsafe_get cells ((state * nslots) + slot) with
-          | -1 -> Dead
-          | target -> Goto target
-        end
-      end
-  | Unbuilt | Sparse_only -> step t state (Sym.Ev e)
 
 let approx_bytes t =
   (* One word statenum + accept + pending list + trans array header per

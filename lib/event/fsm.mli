@@ -26,21 +26,11 @@ type state = {
   trans : (Sym.t * int) array;  (** sorted by {!Sym.compare} *)
 }
 
-type dispatch =
-  | Unbuilt
-  | Sparse_only
-  | Dense of { slot_of : int array; cells : int array; nslots : int }
-      (** Per-machine compaction: [slot_of] maps a global interned event id
-          to a local alphabet slot (-1 if outside the alphabet), [cells] is
-          the row-major [num_states * nslots] transition table (>= 0 Goto
-          target, -1 Dead). *)
-
 type t = {
   states : state array;
   start : int;
   alphabet : IntSet.t;  (** interned event ids the machine reacts to *)
   mask_ids : IntSet.t;
-  mutable dispatch : dispatch;  (** lazily built by {!dense_dispatch} *)
   mutable live : Bytes.t option array;  (** lazily built by {!event_live} *)
 }
 
@@ -56,6 +46,23 @@ val pending_masks : t -> int -> int list
 
 val step : t -> int -> Sym.t -> step_result
 
+val dead : int
+(** The state number of a machine killed by a [Dead] move ([-1]). *)
+
+val settle : ?on_move:(unit -> unit) -> t -> mask:(int -> bool) -> int -> int
+(** The mask cascade of PostEvent (§5.4.5 step b): from [state], while the
+    state evaluates masks, step on [MTrue m]/[MFalse m] for its first
+    pending mask [m] as [mask m] answers. Re-entering a state already
+    visited in this cascade stops it. Returns the settled state, or {!dead}
+    when a mask move kills the machine. [on_move] runs once per [Goto]. *)
+
+val advance :
+  ?on_move:(unit -> unit) -> t -> state:int -> event:int -> mask:(int -> bool) -> step_result
+(** One PostEvent move (§5.4.5 steps a–b): step [state] on the basic
+    [event] and {!settle} the target. [Stay] when the machine ignores the
+    event, [Dead] when the event or a mask kills it, [Goto s] when it moved
+    and settled in [s]. Only a [Goto] into an accept state fires. *)
+
 val event_live : t -> state:int -> event:int -> bool
 (** [event_live t ~state ~event] is [false] exactly when posting [event]
     to a machine sitting in [state] is a guaranteed no-op: the step is
@@ -68,20 +75,6 @@ val event_live : t -> state:int -> event:int -> bool
 
 val live_events : t -> int -> IntSet.t
 (** All live events of a state ({!event_live} as a set, for tests). *)
-
-val dense_dispatch : ?max_cells:int -> t -> bool
-(** Decide (once) the machine's dispatch representation: build the compact
-    dense table if [num_states * |alphabet|] fits within [max_cells]
-    (default 4096), else mark the machine sparse-only. Returns whether the
-    dense table is active. Idempotent; the first call's threshold wins. *)
-
-val dense_active : t -> bool
-(** Whether {!dense_dispatch} built a dense table for this machine. *)
-
-val step_event : t -> int -> int -> step_result
-(** [step_event t state event] = [step t state (Sym.Ev event)], routed
-    through the dense table when one is active: slot lookup + one array
-    load instead of a binary search. *)
 
 val approx_bytes : t -> int
 (** Rough memory footprint of the sparse representation, for the

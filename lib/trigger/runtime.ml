@@ -5,7 +5,6 @@ module Oid = Ode_objstore.Oid
 module Value = Ode_objstore.Value
 module Intern = Ode_event.Intern
 module Fsm = Ode_event.Fsm
-module Sym = Ode_event.Sym
 
 let src = Logs.Src.create "ode.trigger" ~doc:"Ode trigger runtime"
 
@@ -27,7 +26,6 @@ type stats = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_flushes : int;
-  mutable dense_dispatches : int;
   mutable fires_immediate : int;
   mutable fires_end : int;
   mutable fires_dependent : int;
@@ -44,16 +42,12 @@ type stats = {
 type config = {
   filter : bool;
   cache : bool;
-  dense : bool;
-  dense_max_cells : int;
   mvcc : bool;
 }
 
-let default_config =
-  { filter = true; cache = true; dense = true; dense_max_cells = 4096; mvcc = true }
+let default_config = { filter = true; cache = true; mvcc = true }
 
-let reference_config =
-  { filter = false; cache = false; dense = false; dense_max_cells = 0; mvcc = false }
+let reference_config = { filter = false; cache = false; mvcc = false }
 
 module Obj_index = Ode_objstore.Hash_index.Make (struct
   type t = Oid.t
@@ -231,7 +225,6 @@ let fresh_stats () =
     cache_hits = 0;
     cache_misses = 0;
     cache_flushes = 0;
-    dense_dispatches = 0;
     fires_immediate = 0;
     fires_end = 0;
     fires_dependent = 0;
@@ -410,37 +403,38 @@ let rebuild_index ?object_exists t txn =
   List.iter (fun rid -> t.store.Store.delete txn rid) !dangling
 
 (* ------------------------------------------------------------------ *)
-(* Mask cascade: evaluate pending masks until the machine quiesces
-   (§5.4.5 step b). Returns the final state, or [dead_state]. *)
+(* Machine moves: {!Fsm.advance} and {!Fsm.settle} with this runtime's
+   mask context and counters. *)
 
-let cascade t txn ~(info : Trigger_def.info) ~ctx start_state =
-  let fsm = info.Trigger_def.t_fsm in
-  let visited = Hashtbl.create 8 in
-  ignore txn;
-  let rec go state =
-    match Fsm.pending_masks fsm state with
-    | [] -> state
-    | m :: _ ->
-        if Hashtbl.mem visited state then state
-        else begin
-          Hashtbl.replace visited state ();
-          let mask_fn =
-            match List.assoc_opt m info.Trigger_def.t_masks with
-            | Some fn -> fn
-            | None -> fail "trigger %s: no function for mask m%d" info.Trigger_def.t_name m
-          in
-          t.stats.mask_evals <- t.stats.mask_evals + 1;
-          let value = mask_fn ctx in
-          let sym = if value then Sym.MTrue m else Sym.MFalse m in
-          match Fsm.step fsm state sym with
-          | Fsm.Goto next ->
-              t.stats.fsm_moves <- t.stats.fsm_moves + 1;
-              go next
-          | Fsm.Dead -> Trigger_state.dead_state
-          | Fsm.Stay -> state
-        end
-  in
-  go start_state
+let count_move t () = t.stats.fsm_moves <- t.stats.fsm_moves + 1
+
+let eval_mask t (info : Trigger_def.info) ctx m =
+  match List.assoc_opt m info.Trigger_def.t_masks with
+  | Some fn ->
+      t.stats.mask_evals <- t.stats.mask_evals + 1;
+      fn ctx
+  | None -> fail "trigger %s: no function for mask m%d" info.Trigger_def.t_name m
+
+let settle t ~(info : Trigger_def.info) ~ctx state =
+  Fsm.settle ~on_move:(count_move t) info.Trigger_def.t_fsm ~mask:(eval_mask t info ctx) state
+
+(* PostEvent steps a-b for one activation: [Some final] when the machine
+   moved ([final] is its settled state or [dead_state]), [None] when it
+   ignored the event. *)
+let advance t ~(info : Trigger_def.info) ~ctx state event =
+  match
+    Fsm.advance ~on_move:(count_move t) info.Trigger_def.t_fsm ~state ~event
+      ~mask:(eval_mask t info ctx)
+  with
+  | Fsm.Stay -> None
+  | Fsm.Dead -> Some Trigger_state.dead_state
+  | Fsm.Goto final -> Some final
+
+(* "A check is made to see if an accept state has been reached" after a
+   move (§5.4.5): an event the machine ignores never re-fires a trigger
+   parked in an accept state. *)
+let fires (info : Trigger_def.info) final =
+  final <> Trigger_state.dead_state && Fsm.is_accept info.Trigger_def.t_fsm final
 
 (* ------------------------------------------------------------------ *)
 (* Activation / deactivation (§5.4.1). *)
@@ -455,15 +449,12 @@ let read_state t txn id =
     end
 
 (* Resolve (and memoize) an index entry's trigger definition; built lazily
-   because recovery indexes rows before classes are re-registered. The
-   first resolution also decides the machine's dispatch representation. *)
+   because recovery indexes rows before classes are re-registered. *)
 let info_of t entry =
   match entry.e_info with
   | Some info -> info
   | None ->
       let info = Trigger_def.Registry.trigger_info t.registry ~cls:entry.e_cls ~index:entry.e_index in
-      if t.config.dense then
-        ignore (Fsm.dense_dispatch ~max_cells:t.config.dense_max_cells info.Trigger_def.t_fsm);
       entry.e_info <- Some info;
       info
 
@@ -599,10 +590,8 @@ let activate ?(anchors = []) t txn ~defining_cls ~trigger ~obj ~obj_cls ~args =
   (* A machine whose start state is already a mask state evaluates
      immediately. *)
   let ctx = { Trigger_def.txn; obj; args; ev_args = []; trigger_id = id } in
-  let settled = cascade t txn ~info ~ctx start in
+  let settled = settle t ~info ~ctx start in
   if settled <> start then write_state t txn id (Trigger_state.with_statenum st settled);
-  if t.config.dense then
-    ignore (Fsm.dense_dispatch ~max_cells:t.config.dense_max_cells info.Trigger_def.t_fsm);
   let entry =
     {
       e_rid = id;
@@ -622,8 +611,6 @@ let activate ?(anchors = []) t txn ~defining_cls ~trigger ~obj ~obj_cls ~args =
    the transaction finishes, whatever the outcome. *)
 let activate_local t txn ~defining_cls ~trigger ~obj ~obj_cls ~args =
   let info = lookup_trigger t ~defining_cls ~trigger ~obj_cls ~args in
-  if t.config.dense then
-    ignore (Fsm.dense_dispatch ~max_cells:t.config.dense_max_cells info.Trigger_def.t_fsm);
   let start = info.Trigger_def.t_fsm.Fsm.start in
   let act =
     {
@@ -636,7 +623,7 @@ let activate_local t txn ~defining_cls ~trigger ~obj ~obj_cls ~args =
     }
   in
   let ctx = { Trigger_def.txn; obj; args; ev_args = []; trigger_id = Rid.of_int (-1) } in
-  act.la_state <- cascade t txn ~info ~ctx start;
+  act.la_state <- settle t ~info ~ctx start;
   let l = local t txn in
   l.local_acts <- act :: l.local_acts;
   t.stats.local_activations <- t.stats.local_activations + 1
@@ -786,30 +773,19 @@ let route_fire t txn fire =
       enqueue_phoenix t txn fire;
       deactivate_if_once_only ()
 
-(* Advance one machine on a real event, through the compact dense table
-   when the machine has one (O(1) slot + row probe instead of a binary
-   search over the sparse transition list). *)
-let step_machine t fsm state event =
-  if t.config.dense && Fsm.dense_active fsm then begin
-    t.stats.dense_dispatches <- t.stats.dense_dispatches + 1;
-    Fsm.step_event fsm state event
-  end
-  else Fsm.step fsm state (Sym.Ev event)
-
 (* Advance this transaction's local activations anchored at [obj]; ready
    local triggers are appended to [ready] in activation order. *)
 let advance_locals t txn ~obj ~event ~payload ready =
   match local_opt t txn with
   | None -> ()
   | Some l ->
-      let advance act =
+      let advance_local act =
         if
           act.la_active
           && Oid.equal act.la_obj obj
           && act.la_state <> Trigger_state.dead_state
         then begin
           let info = act.la_info in
-          let fsm = info.Trigger_def.t_fsm in
           let ctx =
             {
               Trigger_def.txn;
@@ -819,30 +795,25 @@ let advance_locals t txn ~obj ~event ~payload ready =
               trigger_id = Rid.of_int (-1);
             }
           in
-          let moved, final =
-            match step_machine t fsm act.la_state event with
-            | Fsm.Stay -> (false, act.la_state)
-            | Fsm.Dead -> (true, Trigger_state.dead_state)
-            | Fsm.Goto next ->
-                t.stats.fsm_moves <- t.stats.fsm_moves + 1;
-                (true, cascade t txn ~info ~ctx next)
-          in
-          act.la_state <- final;
-          if moved && final <> Trigger_state.dead_state && Fsm.is_accept fsm final then
-            ready :=
-              {
-                f_id = Rid.of_int (-1);
-                f_info = info;
-                f_obj = obj;
-                f_args = act.la_args;
-                f_ev_args = payload;
-                f_cls = act.la_cls;
-                f_local = Some act;
-              }
-              :: !ready
+          match advance t ~info ~ctx act.la_state event with
+          | None -> ()
+          | Some final ->
+              act.la_state <- final;
+              if fires info final then
+                ready :=
+                  {
+                    f_id = Rid.of_int (-1);
+                    f_info = info;
+                    f_obj = obj;
+                    f_args = act.la_args;
+                    f_ev_args = payload;
+                    f_cls = act.la_cls;
+                    f_local = Some act;
+                  }
+                  :: !ready
         end
       in
-      List.iter advance (List.rev l.local_acts)
+      List.iter advance_local (List.rev l.local_acts)
 
 (* ------------------------------------------------------------------ *)
 (* PostEvent (§5.4.5). *)
@@ -852,43 +823,40 @@ let post ?(payload = []) t txn ~obj ~event =
       m "post %s to %a (t%d)" (Intern.name_of_id t.intern event) Oid.pp obj txn.Txn.id);
   t.stats.posts <- t.stats.posts + 1;
   t.stats.index_probes <- t.stats.index_probes + 1;
-  let entries = Obj_index.find_all t.index obj in
-  if entries <> [] then begin
-    let ready = ref [] in
-    let advance entry =
-      (* Fast path: the entry's state mirror plus the machine's per-state
-         live-event bitset prove the post is a no-op — no store read, no
-         decode, no lock. The mirror is only consulted when this
-         transaction owns the entry or nobody does; an entry owned by
-         another in-flight transaction takes the slow path and blocks on
-         the record lock exactly as the unfiltered engine would. *)
-      let skip =
-        t.config.filter
-        && (entry.e_owner = -1 || entry.e_owner = txn.Txn.id)
-        && (entry.e_state = Trigger_state.dead_state
-           ||
-           let info = info_of t entry in
-           not (Fsm.event_live info.Trigger_def.t_fsm ~state:entry.e_state ~event))
+  let ready = ref [] in
+  let advance_entry entry =
+    (* Fast path: the entry's state mirror plus the machine's per-state
+       live-event bitset prove the post is a no-op — no store read, no
+       decode, no lock. The mirror is only consulted when this
+       transaction owns the entry or nobody does; an entry owned by
+       another in-flight transaction takes the slow path and blocks on
+       the record lock exactly as the unfiltered engine would. *)
+    let skip =
+      t.config.filter
+      && (entry.e_owner = -1 || entry.e_owner = txn.Txn.id)
+      && (entry.e_state = Trigger_state.dead_state
+         ||
+         let info = info_of t entry in
+         not (Fsm.event_live info.Trigger_def.t_fsm ~state:entry.e_state ~event))
+    in
+    if skip then t.stats.index_skips <- t.stats.index_skips + 1
+    else begin
+      (* A certified snapshot-safe trigger advances lock-free: its state
+         read resolves against the newest committed version with no S
+         lock; the state write (if the machine moves) still X-locks and
+         validates first-updater-wins. *)
+      let lock_free =
+        t.lock_free_depth > 0
+        || t.config.mvcc && t.config.cache
+           && Hashtbl.mem t.snap_safe (entry.e_cls, (info_of t entry).Trigger_def.t_name)
       in
-      if skip then t.stats.index_skips <- t.stats.index_skips + 1
-      else begin
-        (* A certified snapshot-safe trigger advances lock-free: its state
-           read resolves against the newest committed version with no S
-           lock; the state write (if the machine moves) still X-locks and
-           validates first-updater-wins. *)
-        let lock_free =
-          t.lock_free_depth > 0
-          || t.config.mvcc && t.config.cache
-             && Hashtbl.mem t.snap_safe (entry.e_cls, (info_of t entry).Trigger_def.t_name)
-        in
-        with_lock_free t lock_free @@ fun () ->
-        match cached_read t txn entry.e_rid with
-        | None -> ()
-        | Some st ->
+      with_lock_free t lock_free @@ fun () ->
+      match cached_read t txn entry.e_rid with
+      | None -> ()
+      | Some st ->
           note_read_lock t entry.e_cls;
           if st.Trigger_state.statenum <> Trigger_state.dead_state then begin
             let info = info_of t entry in
-            let fsm = info.Trigger_def.t_fsm in
             (* Masks and actions always see the trigger's primary anchor,
                even when the posted-to object is a secondary anchor of an
                inter-object trigger. *)
@@ -902,57 +870,42 @@ let post ?(payload = []) t txn ~obj ~event =
                 trigger_id = entry.e_rid;
               }
             in
-            (* [moved] guards the accept check: an event the machine
-               ignores (Stay) must not re-fire a trigger parked in an
-               accept state ("a check is made to see if an accept state
-               has been reached" happens after a transition, §5.4.5). *)
-            let moved, final =
-              match step_machine t fsm st.Trigger_state.statenum event with
-              | Fsm.Stay -> (false, st.Trigger_state.statenum)
-              | Fsm.Dead -> (true, Trigger_state.dead_state)
-              | Fsm.Goto next ->
-                  t.stats.fsm_moves <- t.stats.fsm_moves + 1;
-                  (true, cascade t txn ~info ~ctx next)
-            in
-            if final <> st.Trigger_state.statenum then begin
-              note_lock t Trig_write entry.e_cls;
-              write_state t txn entry.e_rid (Trigger_state.with_statenum st final);
-              (* Mirror the move so filtering decisions see the new state;
-                 journal the old mirror for abort reversal and mark this
-                 transaction as owner until it resolves. If we already own
-                 the entry an undo record from this transaction exists and
-                 reversal restores the oldest state, so one suffices. *)
-              if entry.e_owner <> txn.Txn.id then
-                journal_index t txn (Idx_move (entry, entry.e_state));
-              entry.e_state <- final;
-              entry.e_owner <- txn.Txn.id
-            end;
-            if moved && final <> Trigger_state.dead_state && Fsm.is_accept fsm final then
-              ready :=
-                {
-                  f_id = entry.e_rid;
-                  f_info = info;
-                  f_obj = primary;
-                  f_args = st.Trigger_state.args;
-                  f_ev_args = payload;
-                  f_cls = st.Trigger_state.trigobjtype;
-                  f_local = None;
-                }
-                :: !ready
+            match advance t ~info ~ctx st.Trigger_state.statenum event with
+            | None -> ()
+            | Some final ->
+                if final <> st.Trigger_state.statenum then begin
+                  note_lock t Trig_write entry.e_cls;
+                  write_state t txn entry.e_rid (Trigger_state.with_statenum st final);
+                  (* Mirror the move so filtering decisions see the new state;
+                     journal the old mirror for abort reversal and mark this
+                     transaction as owner until it resolves. If we already own
+                     the entry an undo record from this transaction exists and
+                     reversal restores the oldest state, so one suffices. *)
+                  if entry.e_owner <> txn.Txn.id then
+                    journal_index t txn (Idx_move (entry, entry.e_state));
+                  entry.e_state <- final;
+                  entry.e_owner <- txn.Txn.id
+                end;
+                if fires info final then
+                  ready :=
+                    {
+                      f_id = entry.e_rid;
+                      f_info = info;
+                      f_obj = primary;
+                      f_args = st.Trigger_state.args;
+                      f_ev_args = payload;
+                      f_cls = st.Trigger_state.trigobjtype;
+                      f_local = None;
+                    }
+                    :: !ready
           end
-      end
-    in
-    (* Advance every active trigger before firing any (§5.4.5): an action
-       must not affect another trigger's mask evaluation for this event. *)
-    List.iter advance entries;
-    advance_locals t txn ~obj ~event ~payload ready;
-    List.iter (route_fire t txn) (List.rev !ready)
-  end
-  else begin
-    let ready = ref [] in
-    advance_locals t txn ~obj ~event ~payload ready;
-    List.iter (route_fire t txn) (List.rev !ready)
-  end
+    end
+  in
+  (* Advance every active trigger before firing any (§5.4.5): an action
+     must not affect another trigger's mask evaluation for this event. *)
+  List.iter advance_entry (Obj_index.find_all t.index obj);
+  advance_locals t txn ~obj ~event ~payload ready;
+  List.iter (route_fire t txn) (List.rev !ready)
 
 (* ------------------------------------------------------------------ *)
 (* Transaction events and coupling-mode processing (§5.5). *)
@@ -1151,7 +1104,6 @@ let reset_stats t =
   s.cache_hits <- 0;
   s.cache_misses <- 0;
   s.cache_flushes <- 0;
-  s.dense_dispatches <- 0;
   s.fires_immediate <- 0;
   s.fires_end <- 0;
   s.fires_dependent <- 0;

@@ -41,7 +41,6 @@ type stats = {
   mutable cache_flushes : int;
       (** dirty cached states actually written at commit-prepare; at most
           one per (transaction, activation) however many times it moved *)
-  mutable dense_dispatches : int;  (** event steps served by a dense table *)
   mutable fires_immediate : int;
   mutable fires_end : int;
   mutable fires_dependent : int;
@@ -67,15 +66,15 @@ type config = {
   cache : bool;  (** transaction-scoped write-back cache of decoded
       {!Trigger_state.t}: reads decode once per transaction, writes are
       encoded and flushed once at commit-prepare, discarded on abort *)
-  dense : bool;  (** hybrid dense dispatch: O(1) compact transition tables
-      for small machines, sparse binary search above [dense_max_cells] *)
-  dense_max_cells : int;
   mvcc : bool;  (** route {!Ode_analysis.Concur}-certified snapshot-safe
       trigger advances and cascades through the lock-free MVCC
       read-committed path (no S locks; first-updater-wins write
       validation). Requires [cache]. *)
 }
-(** Posting-engine layer switches. The layers are pure optimisations:
+(** Posting-engine layer switches. Every event step goes through the
+    machine's sparse transition array ({!Ode_event.Fsm.advance}); the
+    layers only decide which activations are read and how their state is
+    stored. They are pure optimisations:
     observable trigger behaviour is identical under any combination (the
     differential tests drive {!default_config} against
     {!reference_config}), except that filtered posts skip the shared
@@ -83,11 +82,11 @@ type config = {
     activations, and certified mvcc reads take none at all. *)
 
 val default_config : config
-(** All layers on, [dense_max_cells = 4096]. *)
+(** All layers on. *)
 
 val reference_config : config
 (** The pre-optimisation engine: every candidate activation is read from
-    the store, decoded, stepped sparsely and written back eagerly. *)
+    the store, decoded, stepped and written back eagerly. *)
 
 type t
 

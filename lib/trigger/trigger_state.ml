@@ -11,7 +11,7 @@ type t = {
   anchors : Oid.t list;
 }
 
-let dead_state = -1
+let dead_state = Ode_event.Fsm.dead
 
 type phoenix_entry = {
   ph_cls : string;

@@ -25,7 +25,8 @@ type t = {
 
 val dead_state : int
 (** Sentinel [statenum] for an anchored machine that can no longer
-    accept. *)
+    accept: {!Ode_event.Fsm.dead}, the state {!Ode_event.Fsm.advance}
+    reports for a killed machine. *)
 
 type phoenix_entry = {
   ph_cls : string;

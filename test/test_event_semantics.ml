@@ -1,7 +1,10 @@
 (* Table-driven event-language semantics at the session level: for each
    (expression, event stream) pair, the number of trigger firings must
-   match. Events are posted one per transaction; E/F/G are the class's
-   user events. *)
+   match, on every kind of activation. E/F/G are the class's user events.
+   A persistent activation gets one transaction per event; a local rule
+   (§8) sees the whole stream in one transaction; a monitor on a volatile
+   object sees it through [post_self] from a method. The [fires] column
+   is the one oracle for all three. *)
 
 module Session = Ode.Session
 module Dsl = Ode.Dsl
@@ -54,6 +57,11 @@ let cases =
     { label = "empty matches everywhere"; expr = "empty"; stream = "EEE"; fires = 3 };
     { label = "nested groups"; expr = "(E || F), (F || G)"; stream = "EG"; fires = 1 };
     { label = "three in a row"; expr = "E, E, E"; stream = "EEEE"; fires = 2 };
+    (* M is a mask that always holds. A machine whose start state is a
+       mask state settles when it is activated, before any event. *)
+    { label = "mask at start, anchored"; expr = "^ (empty & M), E"; stream = "EE"; fires = 1 };
+    { label = "mask at start"; expr = "empty & M"; stream = "EFE"; fires = 3 };
+    { label = "mask after event"; expr = "E & M, F"; stream = "EFEGF"; fires = 1 };
   ]
 
 let run_case kind { label; expr; stream; fires } () =
@@ -61,19 +69,41 @@ let run_case kind { label; expr; stream; fires } () =
   let count = ref 0 in
   Session.define_class env ~name:"C"
     ~fields:[ ("x", Dsl.int 0) ]
+    ~methods:
+      [
+        ( "post",
+          fun ctx args ->
+            ctx.Session.post_self (Dsl.nth_str args 0);
+            Dsl.null );
+      ]
     ~events:[ Dsl.user_event "E"; Dsl.user_event "F"; Dsl.user_event "G" ]
+    ~masks:[ ("M", fun _ _ -> true) ]
     ~triggers:
       [ Dsl.trigger "T" ~perpetual:true ~event:expr ~action:(fun _ _ -> incr count) ]
       (* the "intersection empty" case deliberately defines a dead trigger,
          which the define-time analyzer would otherwise reject *)
     ~allow_lint_errors:true ();
+  let check what =
+    Alcotest.(check int) (Printf.sprintf "%s (%s): %s over %s" label what expr stream) fires !count;
+    count := 0
+  in
+  let events = List.init (String.length stream) (fun i -> String.make 1 stream.[i]) in
   let obj = Session.with_txn env (fun txn -> Session.pnew env txn ~cls:"C" ()) in
   Session.with_txn env (fun txn -> ignore (Session.activate env txn obj ~trigger:"T" ~args:[]));
-  String.iter
-    (fun c ->
-      Session.with_txn env (fun txn -> Session.post_event env txn obj (String.make 1 c)))
-    stream;
-  Alcotest.(check int) (Printf.sprintf "%s: %s over %s" label expr stream) fires !count
+  List.iter (fun e -> Session.with_txn env (fun txn -> Session.post_event env txn obj e)) events;
+  check "persistent";
+  Session.with_txn env (fun txn ->
+      let obj = Session.pnew env txn ~cls:"C" () in
+      Session.activate_local env txn obj ~trigger:"T" ~args:[];
+      List.iter (Session.post_event env txn obj) events);
+  check "local";
+  let v = Session.Volatile.vnew env ~cls:"C" () in
+  Session.Volatile.attach env v ~event:expr
+    ~masks:[ ("M", fun _ -> true) ]
+    ~action:(fun _ -> incr count)
+    ();
+  List.iter (fun e -> ignore (Session.Volatile.invoke env v "post" [ Dsl.str e ])) events;
+  check "volatile"
 
 let suite =
   List.concat_map

@@ -340,18 +340,24 @@ let monitored_user_events kind () =
   let env = Session.create ~store:kind () in
   Session.define_class env ~name:"Feed"
     ~fields:[ ("last", Dsl.float 0.0) ]
+    ~methods:
+      [
+        ( "Tick",
+          fun ctx _ ->
+            ctx.Session.post_self "Spike";
+            Dsl.null );
+      ]
     ~events:[ Dsl.user_event "Spike" ]
     ();
   let v = Session.Volatile.vnew env ~cls:"Feed" () in
   let spikes = ref 0 in
   Session.Volatile.attach env v ~event:"Spike, Spike" ~action:(fun _ -> incr spikes) ();
-  (* post_self routes user events to monitors; exercise it via a method?
-     Feed has none, so use attach + a second monitored object check via
-     invoke-free path is not available: attach another class with a method
-     that posts. *)
-  ignore v;
-  ignore spikes;
-  Alcotest.(check pass) "attach over user events compiles" () ()
+  (* [post_self] on a volatile object routes the user event to its
+     monitors; the perpetual, unanchored pair closes on spikes 2 and 3. *)
+  for _ = 1 to 3 do
+    ignore (Session.Volatile.invoke env v "Tick" [])
+  done;
+  Alcotest.(check int) "Spike, Spike fired twice over three spikes" 2 !spikes
 
 let suite =
   suite
