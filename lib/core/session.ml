@@ -1130,8 +1130,13 @@ let recover ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine
   let txn = Txn.begin_txn ~system:true mgr in
   (* A crash can land between the objects store's commit flush and the
      triggers store's (commit is per-participant, not atomic across
-     stores): prune trigger activations whose object did not survive. *)
-  Runtime.rebuild_index ~object_exists:(fun oid -> Database.exists db txn oid) t.rt txn;
+     stores): prune trigger activations whose object did not survive.
+     With no transaction in flight, the lock-free directory probe is an
+     exact existence test. *)
+  assert (obj_store.Store.in_flight () = 0);
+  Runtime.rebuild_index
+    ~object_exists:(fun oid -> obj_store.Store.maybe_present (Oid.to_rid oid))
+    t.rt txn;
   Txn.commit txn;
   t
 

@@ -109,7 +109,7 @@ let create ~mgr ~store ~name =
 
 let open_existing ~mgr ~store ~name =
   let t = create ~mgr ~store ~name in
-  let txn = Txn.begin_txn ~system:true mgr in
+  let txn = Txn.begin_txn ~system:true ~snapshot:true mgr in
   store.Store.iter txn (fun rid payload ->
       let record = Objrec.decode payload in
       let r = cluster_ref t record.Objrec.cls in

@@ -16,8 +16,8 @@ val create : mgr:Ode_storage.Txn.mgr -> store:Ode_storage.Store.t -> name:string
 
 val open_existing :
   mgr:Ode_storage.Txn.mgr -> store:Ode_storage.Store.t -> name:string -> t
-(** Rebuild cluster membership from the store's current contents (used
-    after recovery). Runs one internal system transaction. *)
+(** Rebuild cluster membership from the store's committed contents (used
+    after recovery) through one lock-free snapshot scan. *)
 
 val name : t -> string
 val store : t -> Ode_storage.Store.t

@@ -10,6 +10,7 @@ type t = {
   mutable pruned : int;
   mutable snapshot_reads : int;
   mutable since_prune : int;  (* installs since the last prune *)
+  mutable sorted : Rid.t list option;  (* chain rids ascending; None = stale *)
 }
 
 let own_read_ts = -1
@@ -24,18 +25,21 @@ let create () =
     pruned = 0;
     snapshot_reads = 0;
     since_prune = 0;
+    sorted = None;
   }
 
 (* Recovery bulk load: a fresh singleton non-tombstone chain is settled
    (nothing to prune until a later install supersedes it), so skipping the
    pending-set registration keeps the first post-recovery prune from
-   sweeping every loaded record. *)
-let load t ~ts rid payload =
-  Rid.Tbl.replace t.chains rid [ (ts, payload) ];
-  t.installed <- t.installed + 1
+   sweeping every loaded record. The entries arrive in rid order, which
+   spares recovery's snapshot scans a sort. *)
+let load t ~ts entries =
+  List.iter (fun (rid, payload) -> Rid.Tbl.replace t.chains rid [ (ts, Some payload) ]) entries;
+  t.installed <- t.installed + List.length entries;
+  t.sorted <- Some (List.map fst entries)
 
 let install t ~ts rid payload =
-  let chain = match Rid.Tbl.find_opt t.chains rid with Some c -> c | None -> [] in
+  let chain = match Rid.Tbl.find_opt t.chains rid with Some c -> c | None -> t.sorted <- None; [] in
   Rid.Tbl.replace t.chains rid ((ts, payload) :: chain);
   Rid.Tbl.replace t.pending rid ();
   t.installed <- t.installed + 1;
@@ -57,10 +61,11 @@ let read_at t ~ts rid =
       visible chain
 
 let iter_at t ~ts f =
-  let rids = Rid.Tbl.fold (fun rid _ acc -> rid :: acc) t.chains [] in
+  if Option.is_none t.sorted then
+    t.sorted <- Some (List.sort Rid.compare (Rid.Tbl.fold (fun rid _ acc -> rid :: acc) t.chains []));
   List.iter
     (fun rid -> match read_at t ~ts rid with Some payload -> f rid payload | None -> ())
-    (List.sort Rid.compare rids)
+    (Option.get t.sorted)
 
 (* Keep versions above the watermark plus the single newest one at or
    below it (the version every snapshot >= watermark resolves to). A
@@ -99,6 +104,7 @@ let prune t ~watermark =
         end)
     t.pending;
   List.iter (fun rid -> Rid.Tbl.remove t.chains rid) !doomed;
+  if !doomed <> [] then t.sorted <- None;
   List.iter (fun rid -> Rid.Tbl.remove t.pending rid) !settled
 
 let maybe_prune t ~watermark = if t.since_prune >= auto_prune_interval then prune t ~watermark
@@ -106,7 +112,8 @@ let maybe_prune t ~watermark = if t.since_prune >= auto_prune_interval then prun
 let clear t =
   Rid.Tbl.reset t.chains;
   Rid.Tbl.reset t.pending;
-  t.since_prune <- 0
+  t.since_prune <- 0;
+  t.sorted <- None
 
 let note_snapshot_read t = t.snapshot_reads <- t.snapshot_reads + 1
 

@@ -27,13 +27,15 @@ val own_read_ts : int
     already holds a lock on the record (reads-your-own-writes); such a
     read needs no commit-time validation. *)
 
-val load : t -> ts:int -> Rid.t -> bytes option -> unit
-(** Install a baseline version as a fresh singleton chain without
-    registering it for pruning — recovery's bulk load. A singleton
-    non-tombstone chain is settled: it can only be superseded by a later
-    {!install}, never pruned, so registering it would just make the first
-    post-recovery GC pass sweep the whole store. The rid must not already
-    have a chain. *)
+val load : t -> ts:int -> (Rid.t * bytes) list -> unit
+(** Install each entry as a baseline version in a fresh singleton chain
+    without registering it for pruning — recovery's bulk load. A
+    singleton non-tombstone chain is settled: it can only be superseded
+    by a later {!install}, never pruned, so registering it would just
+    make the first post-recovery GC pass sweep the whole store. [t] must
+    hold no chains, and [entries] must be in ascending rid order: they
+    seed the rid order {!iter_at} visits, which stays cached until a
+    chain is added or dropped. *)
 
 val install : t -> ts:int -> Rid.t -> bytes option -> unit
 (** Prepend a committed version ([None] = delete tombstone). [ts] must be

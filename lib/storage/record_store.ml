@@ -480,10 +480,10 @@ module Make (P : PHYS) = struct
     List.iter
       (fun (rid, payload) ->
         P.put t.phys rid payload;
-        (* Baseline version at ts 0: recovered state predates every future
-           snapshot, and uncommitted pre-crash work never had a version. *)
-        Mvcc.load t.chains ~ts:0 rid (Some payload);
         t.next_rid <- max t.next_rid (align_after t rid))
       entries;
+    (* Baseline versions at ts 0: recovered state predates every future
+       snapshot, and uncommitted pre-crash work never had a version. *)
+    Mvcc.load t.chains ~ts:0 entries;
     t.sorted_rids <- None
 end

@@ -68,9 +68,9 @@ module type S = sig
   (** The uniform interface used by everything above the storage layer. *)
 
   val load_bulk : t -> (Rid.t * bytes) list -> unit
-  (** Physically install records, bypassing transactions, locking and
-      logging. Recovery-only; raises [Store_error] if the store is not
-      empty. *)
+  (** Physically install records (sorted by rid), bypassing transactions,
+      locking and logging. Recovery-only; raises [Store_error] if the
+      store is not empty. *)
 
   val anchor_from : t -> (Rid.t * bytes) list -> unit
   (** Write a full anchor checkpoint whose payload is [entries] verbatim

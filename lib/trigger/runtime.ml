@@ -125,6 +125,7 @@ type txn_local = {
   mutable local_acts : local_act list;  (* reversed activation order *)
   cache : centry Rid.Tbl.t;
   mutable dirty : Rid.t list;  (* reversed first-dirtied order *)
+  mutable enqueued_phoenix : bool;  (* drain at commit, whatever the hint *)
 }
 
 (* --- Lock-footprint validation mode (soundness checker for
@@ -253,6 +254,7 @@ let local t (txn : Txn.t) =
           local_acts = [];
           cache = Rid.Tbl.create 16;
           dirty = [];
+          enqueued_phoenix = false;
         }
       in
       Hashtbl.replace t.locals txn.Txn.id l;
@@ -367,6 +369,14 @@ let config t = t.config
 
 let register_class t descriptor = Trigger_def.Registry.register t.registry descriptor
 
+(* Visit every committed trigger-store row in rid order through a
+   snapshot reader: no locks, so the scan never blocks on an open writer's
+   X locks, and never sees its uncommitted rows. *)
+let scan_committed t f =
+  let scan = Txn.begin_txn ~system:true ~snapshot:true t.mgr in
+  t.store.Store.iter scan f;
+  Txn.commit scan
+
 let rebuild_index ?object_exists t txn =
   Obj_index.clear t.index;
   t.phoenix_hint <- 0;
@@ -374,9 +384,10 @@ let rebuild_index ?object_exists t txn =
      TriggerState row whose anchoring object never became durable (or
      vice versa). When the caller supplies [object_exists], such dangling
      rows are garbage-collected here instead of indexed, so post-recovery
-     trigger state is always consistent with the surviving objects. *)
+     trigger state is always consistent with the surviving objects. The
+     scan is lock-free; only those deletes run (and lock) in [txn]. *)
   let dangling = ref [] in
-  t.store.Store.iter txn (fun rid payload ->
+  scan_committed t (fun rid payload ->
       match Trigger_state.decode payload with
       | Trigger_state.State st ->
           let alive =
@@ -771,6 +782,7 @@ let route_fire t txn fire =
   | Coupling.Phoenix ->
       t.stats.fires_phoenix <- t.stats.fires_phoenix + 1;
       enqueue_phoenix t txn fire;
+      (local t txn).enqueued_phoenix <- true;
       deactivate_if_once_only ()
 
 (* Advance this transaction's local activations anchored at [obj]; ready
@@ -985,6 +997,9 @@ and after_commit t (txn : Txn.t) =
   (match l with
   | None -> ()
   | Some l ->
+      (* A drain under another transaction cannot see this one's
+         uncommitted entries and may have reset the hint below them. *)
+      if l.enqueued_phoenix then t.phoenix_hint <- max 1 t.phoenix_hint;
       List.iter (run_detached t ~dependency:(Some txn.Txn.id)) (List.rev l.dep_list);
       List.iter (run_detached t ~dependency:None) (List.rev l.indep_list));
   drain_phoenix t
@@ -1019,17 +1034,15 @@ and drain_phoenix t =
         while !continue_ do
           incr rounds;
           if !rounds > 100 then fail "phoenix queue did not quiesce";
-          (* Collect pending entries in one read-only system transaction,
-             then run each in its own transaction that deletes the entry and
-             performs the action atomically — restart-safe: a crash before
-             that commit leaves the entry queued. *)
-          let scan = Txn.begin_txn ~system:true t.mgr in
+          (* Collect committed entries in one lock-free scan, then run each
+             in its own transaction that re-reads the entry under its lock,
+             deletes it and performs the action atomically — restart-safe:
+             a crash before that commit leaves the entry queued. *)
           let entries = ref [] in
-          t.store.Store.iter scan (fun rid payload ->
+          scan_committed t (fun rid payload ->
               match Trigger_state.decode payload with
               | Trigger_state.Phoenix entry -> entries := (rid, entry) :: !entries
               | Trigger_state.State _ -> ());
-          Txn.commit scan;
           t.phoenix_hint <- List.length !entries;
           let rids = List.map fst !entries in
           if !entries = [] || rids = !previous then
@@ -1081,14 +1094,11 @@ let commit_with_triggers t txn =
   after_commit t txn
 
 let phoenix_backlog t =
-  let txn = Txn.begin_txn ~system:true t.mgr in
   let count = ref 0 in
-  t.store.Store.iter txn (fun _ payload ->
+  scan_committed t (fun _ payload ->
       match Trigger_state.decode payload with
       | Trigger_state.Phoenix _ -> incr count
       | Trigger_state.State _ -> ());
-  Txn.commit txn;
-  Hashtbl.remove t.locals txn.Txn.id;
   !count
 
 let stats t = t.stats

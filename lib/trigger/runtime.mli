@@ -107,12 +107,12 @@ val mgr : t -> Ode_storage.Txn.mgr
 val register_class : t -> Trigger_def.descriptor -> unit
 
 val rebuild_index : ?object_exists:(Ode_objstore.Oid.t -> bool) -> t -> Ode_storage.Txn.t -> unit
-(** Re-derive the object→activation index by scanning the trigger store
-    (after {!Ode_storage.Recovery}). When [object_exists] is given,
-    activation rows anchored at an object it rejects are deleted rather
-    than indexed — recovery-time GC for rows orphaned by a crash that
-    landed between the object store's and trigger store's commit
-    flushes. *)
+(** Re-derive the object→activation index (in rid order) from a
+    lock-free snapshot scan of the trigger store (after
+    {!Ode_storage.Recovery}). When [object_exists] is given, activation
+    rows anchored at an object it rejects are deleted in the given
+    transaction rather than indexed — recovery-time GC for rows orphaned
+    by a crash between the two stores' commit flushes. *)
 
 val activate :
   ?anchors:Ode_objstore.Oid.t list ->
@@ -206,11 +206,12 @@ val forget : t -> Ode_storage.Txn.t -> unit
     !dependent work should be discarded. *)
 
 val drain_phoenix : t -> unit
-(** Execute and remove every queued phoenix action, each in its own system
-    transaction. Safe to call any time outside an active user transaction;
-    called automatically after commit. *)
+(** Execute and remove every committed phoenix entry, each in its own
+    system transaction; the scan that finds them takes no locks. Safe to
+    call any time outside an active user transaction; called after commit. *)
 
 val phoenix_backlog : t -> int
+(** Committed phoenix entries still queued (a lock-free count). *)
 
 (** {1 Lock-footprint validation (soundness checker)}
 

@@ -232,6 +232,52 @@ let arity_and_lookup_errors kind () =
       | _ -> Alcotest.fail "wrong arity accepted"
       | exception Ode_trigger.Runtime.Trigger_error _ -> ())
 
+(* A committed transaction's phoenix drain must not trip over another
+   open transaction's X locks on TriggerState rows (it used to raise
+   Would_block from Session.commit after the commit had happened), and
+   the open transaction's own phoenix entry must drain at its commit. *)
+let phoenix_drain_beside_open_txn kind () =
+  let env, probe = make_env kind in
+  let bump ctx _args =
+    ctx.Session.set "n" (Value.Int (Dsl.self_int ctx "n" + 1));
+    Value.Null
+  in
+  let record _env ctx =
+    let txn = ctx.Ode_trigger.Trigger_def.txn in
+    probe.runs <- ("P", txn.Txn.id, txn.Txn.system) :: probe.runs
+  in
+  Session.define_class env ~name:"Counter"
+    ~fields:[ ("n", Dsl.int 0) ]
+    ~methods:[ ("Touch", bump) ]
+    ~events:[ Dsl.after "Touch" ]
+    ~triggers:
+      [
+        Dsl.trigger "P" ~perpetual:true ~coupling:Coupling.Phoenix ~event:"after Touch" ~action:record;
+        Dsl.trigger "I" ~perpetual:true ~coupling:Coupling.Immediate
+          ~event:"after Touch, after Touch" ~action:(fun _ _ -> ());
+      ]
+    ();
+  let counter () =
+    Session.with_txn env (fun txn ->
+        let obj = Session.pnew env txn ~cls:"Counter" () in
+        ignore (Session.activate env txn obj ~trigger:"P" ~args:[]);
+        ignore (Session.activate env txn obj ~trigger:"I" ~args:[]);
+        obj)
+  in
+  let a = counter () in
+  let b = counter () in
+  let txn_a = Session.begin_txn env in
+  ignore (Session.invoke env txn_a a "Touch" []);
+  (match touch env b with
+  | () -> ()
+  | exception Ode_storage.Store.Would_block _ -> Alcotest.fail "committed txn raised Would_block");
+  Alcotest.(check int) "B's phoenix action ran once" 1 (runs probe);
+  Session.commit env txn_a;
+  Alcotest.(check int) "A's phoenix action ran at A's commit" 2 (runs probe);
+  Alcotest.(check int) "no backlog" 0 (Ode_trigger.Runtime.phoenix_backlog (Session.runtime env));
+  Session.drain_phoenix env;
+  Alcotest.(check int) "each action ran exactly once" 2 (runs probe)
+
 let both_kinds name f =
   [
     Alcotest.test_case (name ^ " (mem)") `Quick (f `Mem);
@@ -245,6 +291,7 @@ let suite =
       both_kinds "dependent coupling" dependent_coupling;
       both_kinds "!dependent coupling" independent_coupling;
       both_kinds "phoenix coupling" phoenix_coupling;
+      both_kinds "phoenix drain beside an open txn" phoenix_drain_beside_open_txn;
       both_kinds "before tcomplete" before_tcomplete_fires;
       both_kinds "before tabort" before_tabort_fires;
       both_kinds "trigger state rolls back on abort" trigger_state_rolls_back;

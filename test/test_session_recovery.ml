@@ -203,6 +203,121 @@ let recovery_keeps_pool_config () =
   Alcotest.(check bool) "recovered pool evicts" true
     (List.assoc "objects.pool_evictions" (Session.counters env) > 0)
 
+(* A Counter with an immediate trigger [T] and a phoenix trigger [P]
+   whose action aborts until [allow] is set, so its queue entry stays
+   committed and undrained across a crash. *)
+let define_phoenix_counter env ~allow ~fired =
+  let touch ctx _args =
+    ctx.Session.set "n" (Value.Int (Dsl.self_int ctx "n" + 1));
+    Value.Null
+  in
+  Session.define_class env ~name:"Counter"
+    ~fields:[ ("n", Dsl.int 0) ]
+    ~methods:[ ("Touch", touch) ]
+    ~events:[ Dsl.after "Touch" ]
+    ~triggers:
+      [
+        Dsl.trigger "T" ~perpetual:true ~coupling:Coupling.Immediate ~event:"after Touch, after Touch"
+          ~action:(fun _ _ -> ());
+        Dsl.trigger "P" ~perpetual:true ~coupling:Coupling.Phoenix ~event:"after Touch"
+          ~action:(fun _ _ -> if !allow then incr fired else Session.tabort ());
+      ]
+    ()
+
+(* TriggerState rows anchored at [oid] in the recovered trigger store. *)
+let rows_for env oid =
+  let _, trig = Session.stores env in
+  Session.with_snapshot env (fun txn ->
+      let n = ref 0 in
+      trig.Ode_storage.Store.iter txn (fun _ payload ->
+          match Ode_trigger.Trigger_state.decode payload with
+          | Ode_trigger.Trigger_state.State st when st.Ode_trigger.Trigger_state.trigobj = oid -> incr n
+          | _ -> ());
+      !n)
+
+(* A crash image whose trigger WAL holds an activation for an object the
+   object WAL never made durable (the crash fell between the two stores'
+   commit flushes): recovery deletes the dangling row, keeps the rest. *)
+let dangling_row_pruned kind () =
+  let allow = ref false and fired = ref 0 in
+  let env = Session.create ~store:kind () in
+  define_phoenix_counter env ~allow ~fired;
+  let a =
+    Session.with_txn env (fun txn ->
+        let a = Session.pnew env txn ~cls:"Counter" () in
+        ignore (Session.activate env txn a ~trigger:"T" ~args:[]);
+        ignore (Session.activate env txn a ~trigger:"P" ~args:[]);
+        a)
+  in
+  Session.with_txn env (fun txn -> ignore (Session.invoke env txn a "Touch" []));
+  Alcotest.(check int) "phoenix entry queued" 1 (Runtime.phoenix_backlog (Session.runtime env));
+  let obj_store, trig_store = Session.stores env in
+  let obj_wal = Ode_storage.Wal.durable_bytes obj_store.Ode_storage.Store.wal in
+  let b =
+    Session.with_txn env (fun txn ->
+        let b = Session.pnew env txn ~cls:"Counter" () in
+        ignore (Session.activate env txn b ~trigger:"T" ~args:[]);
+        b)
+  in
+  let trig_wal = Ode_storage.Wal.durable_bytes trig_store.Ode_storage.Store.wal in
+  ignore (Session.crash env);
+  let recover image =
+    let env = Session.recover image in
+    define_phoenix_counter env ~allow ~fired;
+    env
+  in
+  let env = recover (Session.image_of_wals ~kind ~obj:obj_wal ~trig:trig_wal) in
+  Alcotest.(check int) "dangling row deleted" 0 (rows_for env b);
+  Alcotest.(check int) "surviving rows kept" 2 (rows_for env a);
+  Session.with_txn env (fun txn ->
+      Alcotest.(check bool) "object never durable" false (Session.exists env txn b);
+      Alcotest.(check int) "no activation for the lost object" 0
+        (List.length (Session.active_triggers env txn b));
+      Alcotest.(check int) "surviving activations" 2 (List.length (Session.active_triggers env txn a)));
+  Alcotest.(check int) "phoenix entry survives" 1 (Runtime.phoenix_backlog (Session.runtime env));
+  allow := true;
+  Session.drain_phoenix env;
+  Alcotest.(check int) "phoenix drained once" 1 !fired;
+  Alcotest.(check int) "backlog empty" 0 (Runtime.phoenix_backlog (Session.runtime env));
+  let env = recover (Session.crash env) in
+  Alcotest.(check int) "still no dangling row" 0 (rows_for env b);
+  Session.with_txn env (fun txn ->
+      Alcotest.(check int) "still no activation" 0 (List.length (Session.active_triggers env txn b)));
+  Session.drain_phoenix env;
+  Alcotest.(check int) "phoenix not re-run" 1 !fired;
+  Alcotest.(check int) "backlog still empty" 0 (Runtime.phoenix_backlog (Session.runtime env))
+
+(* Recovery of a clean image runs on a fresh lock manager with nothing
+   in flight: its scans are lock-free snapshot reads that end with it,
+   and a regular transaction can then write a recovered activation. *)
+let recovery_takes_no_locks kind () =
+  let env = Session.create ~store:kind () in
+  Credit_card.define_all env;
+  let card, merchant =
+    Session.with_txn env (fun txn ->
+        let customer = Credit_card.new_customer env txn ~name:"R" in
+        let merchant = Credit_card.new_merchant env txn ~name:"M" in
+        let card = Credit_card.new_card env txn ~customer ~limit:1000.0 () in
+        ignore (Session.activate env txn card ~trigger:"DenyCredit" ~args:[]);
+        ignore (Session.activate env txn card ~trigger:"AutoRaiseLimit" ~args:[ Value.Float 500.0 ]);
+        (card, merchant))
+  in
+  Session.with_txn env (fun txn -> Credit_card.buy env txn card ~merchant ~amount:300.0);
+  let env = Session.recover (Session.crash env) in
+  let counters = Session.counters env in
+  let counter name = List.assoc name counters in
+  Alcotest.(check int) "no S locks" 0 (counter "locks.s_granted");
+  Alcotest.(check int) "no X locks" 0 (counter "locks.x_granted");
+  Alcotest.(check int) "no object snapshot left" 0 (counter "objects.mvcc.live_snapshots");
+  Alcotest.(check int) "no trigger snapshot left" 0 (counter "triggers.mvcc.live_snapshots");
+  Credit_card.define_all env;
+  Session.with_txn env (fun txn ->
+      match Session.active_triggers env txn card with
+      | (id, _) :: _ -> Session.deactivate env txn id
+      | [] -> Alcotest.fail "activation not recovered");
+  Session.with_txn env (fun txn ->
+      Alcotest.(check int) "one activation left" 1 (List.length (Session.active_triggers env txn card)))
+
 let both_kinds name f =
   [
     Alcotest.test_case (name ^ " (mem)") `Quick (f `Mem);
@@ -217,5 +332,7 @@ let suite =
       both_kinds "unflushed work lost" unflushed_work_is_lost;
       both_kinds "phoenix queue survives crash" phoenix_survives_crash;
       both_kinds "double crash" recover_twice;
+      both_kinds "dangling activation row pruned" dangling_row_pruned;
+      both_kinds "recovery takes no locks" recovery_takes_no_locks;
       [ Alcotest.test_case "recovery keeps the disk pool config" `Quick recovery_keeps_pool_config ];
     ]
