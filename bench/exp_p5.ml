@@ -35,6 +35,7 @@ module Txn = Ode_storage.Txn
 module Wal = Ode_storage.Wal
 module Disk_store = Ode_storage.Disk_store
 module Recovery = Ode_storage.Recovery
+module Settings = Ode_storage.Settings
 module Commit_pipeline = Ode_storage.Commit_pipeline
 module Session = Ode.Session
 module Intern = Ode_event.Intern
@@ -105,10 +106,20 @@ let make_engine ~scale ~capacity ~name =
   let mgr = Txn.create_mgr () in
   let disk =
     if capacity then
-      Disk_store.create ~pool_capacity:scale.pool_capacity
-        ~wal_segment_bytes:scale.segment_bytes ~ckpt_full_every:scale.ckpt_full_every
-        ~auto_ckpt_bytes:scale.auto_ckpt_bytes ~mgr ~name ()
-    else Disk_store.create ~pool_capacity:scale.pool_capacity ~mgr ~name ()
+      Disk_store.create
+        ~settings:
+          {
+            Settings.default with
+            pool_capacity = scale.pool_capacity;
+            wal_segment_bytes = scale.segment_bytes;
+            ckpt_full_every = scale.ckpt_full_every;
+            auto_checkpoint_bytes = scale.auto_ckpt_bytes;
+          }
+        ~mgr ~name ()
+    else
+      Disk_store.create
+        ~settings:{ Settings.default with pool_capacity = scale.pool_capacity }
+        ~mgr ~name ()
   in
   { e_mgr = mgr; e_disk = disk; e_store = Disk_store.ops disk; e_capacity = capacity }
 
@@ -170,8 +181,9 @@ let time_recovery ~scale ~wal_bytes =
   let mgr = Txn.create_mgr () in
   let (_ : Disk_store.t), ns =
     Bench_common.wall (fun () ->
-        Recovery.recover_disk ~pool_capacity:scale.pool_capacity ~mgr ~name:"recovered"
-          ~wal_bytes ())
+        Recovery.recover_disk
+          ~settings:{ Settings.default with pool_capacity = scale.pool_capacity }
+          ~mgr ~name:"recovered" ~wal_bytes ())
   in
   ns
 

@@ -386,6 +386,8 @@ let verify ?ledger run =
   (match Session.recover run.image with
   | exception e -> err "Session.recover raised %s" (Printexc.to_string e)
   | env -> (
+      if Session.settings env <> Session.image_settings run.image then
+        err "recovered session's settings differ from the crashed run's";
       Credit_card.define_all env;
       (match observe env run.refs with
       | exception e -> err "post-recovery probe raised %s" (Printexc.to_string e)

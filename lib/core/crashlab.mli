@@ -12,6 +12,8 @@
       {!Ode_storage.Recovery.recover_mem}, replaying the same durable
       bytes, produce identical record maps, both equal to
       {!Ode_storage.Recovery.committed_state} (the Mem_store oracle);
+    - {e same configuration}: the recovered session runs with the
+      settings the run's session crashed with ({!Session.settings});
     - {e trigger consistency}: recovered [TriggerState] rows agree with
       the trigger store's own committed prefix, pruned of activations
       whose anchoring object did not survive — and the recovered database

@@ -7,6 +7,7 @@ module Recovery = Ode_storage.Recovery
 module Wal = Ode_storage.Wal
 module Faults = Ode_storage.Faults
 module Commit_pipeline = Ode_storage.Commit_pipeline
+module Settings = Ode_storage.Settings
 module Oid = Ode_objstore.Oid
 module Value = Ode_objstore.Value
 module Objrec = Ode_objstore.Objrec
@@ -33,9 +34,12 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Ode_error msg)) fmt
 
 type store_kind = [ `Disk | `Mem ]
 
-(* The disk stores' physical configuration; a crash image carries it so a
-   recovered environment runs on the same pool and pages. *)
-type disk_config = { page_size : int option; pool_capacity : int option; io_spin : int option }
+type settings = {
+  kind : store_kind;
+  storage : Settings.t;
+  engine : Runtime.config;
+  shard : int * int;
+}
 
 type monitor = {
   m_fsm : Ode_event.Fsm.t;
@@ -55,8 +59,7 @@ and vobj = {
 type obj_handle = Persistent of Oid.t | Volatile of vobj
 
 type t = {
-  kind : store_kind;
-  disk : disk_config;
+  settings : settings;
   faults : Faults.t;
   mgr : Txn.mgr;
   obj_store : Store.t;
@@ -123,7 +126,7 @@ type trigger_spec = {
   tr_pure : bool;
 }
 
-let store_kind t = t.kind
+let settings t = t.settings
 let faults t = t.faults
 let stores t = (t.obj_store, t.trig_store)
 let runtime t = t.rt
@@ -134,17 +137,51 @@ let intern t = t.intern
 (* ------------------------------------------------------------------ *)
 (* Construction. *)
 
-let assemble ?engine ?intern ~kind ~disk ~faults ~mgr ~obj_store ~trig_store ~db () =
+(* One builder for a fresh environment ([wals = None]) and a recovered
+   one (both stores rebuilt from a crash image's durable WAL prefixes).
+   One fault plane is shared by both stores: every page write, WAL
+   flush, eviction and lock acquisition across the whole environment
+   gets a single global I/O-point number, so a fault plan addresses any
+   of them. [shard] = (index, count): the object store only mints rids
+   ≡ index (mod count), so [oid mod count] names an object's home shard
+   — the {!Ode_parallel} partitioning rule. The trigger store's rids are
+   shard-local (never routed), so it stays unstrided. *)
+let build ?faults ?intern settings wals =
+  let mgr = Txn.create_mgr () in
+  let faults = match faults with Some f -> f | None -> Faults.create () in
+  let storage = settings.storage in
+  let store ?rid_base ?rid_stride name wal_bytes =
+    match (settings.kind, wal_bytes) with
+    | `Disk, None ->
+        Disk_store.ops
+          (Disk_store.create ~settings:storage ~faults ?rid_base ?rid_stride ~mgr ~name ())
+    | `Disk, Some wal_bytes ->
+        Disk_store.ops
+          (Recovery.recover_disk ~settings:storage ~faults ?rid_base ?rid_stride ~mgr ~name
+             ~wal_bytes ())
+    | `Mem, None ->
+        Mem_store.ops (Mem_store.create ~settings:storage ?rid_base ?rid_stride ~mgr ~name ())
+    | `Mem, Some wal_bytes ->
+        Mem_store.ops
+          (Recovery.recover_mem ~settings:storage ?rid_base ?rid_stride ~mgr ~name ~wal_bytes ())
+  in
+  let rid_base, rid_stride = settings.shard in
+  let obj_store = store ~rid_base ~rid_stride "objects" (Option.map fst wals) in
+  let trig_store = store "triggers" (Option.map snd wals) in
+  let db =
+    match wals with
+    | None -> Database.create ~mgr ~store:obj_store ~name:"main"
+    | Some _ -> Database.open_existing ~mgr ~store:obj_store ~name:"main"
+  in
   let intern = match intern with Some i -> i | None -> Intern.create () in
   {
-    kind;
-    disk;
+    settings;
     faults;
     mgr;
     obj_store;
     trig_store;
     db;
-    rt = Runtime.create ?config:engine ~mgr ~intern ~store:trig_store ();
+    rt = Runtime.create ~config:settings.engine ~mgr ~intern ~store:trig_store ();
     intern;
     classes = Hashtbl.create 32;
     posting_plans = Hashtbl.create 64;
@@ -153,44 +190,25 @@ let assemble ?engine ?intern ~kind ~disk ~faults ~mgr ~obj_store ~trig_store ~db
     ckpt_deadline = None;
   }
 
-(* [shard] = (index, count): the object store only mints rids ≡ index
-   (mod count), so [oid mod count] names an object's home shard — the
-   {!Ode_parallel} partitioning rule. The trigger store's rids are
-   shard-local (never routed), so it stays unstrided. (0, 1) is exactly
-   the unsharded behaviour. *)
-let shard_params = function
-  | None -> (None, None)
-  | Some (index, count) -> (Some index, Some count)
-
 let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-    ?durability ?faults ?shard ?intern ?engine ?wal_segment_bytes ?ckpt_full_every
-    ?auto_checkpoint_bytes () =
-  let mgr = Txn.create_mgr () in
-  (* One plane shared by both stores: every page write, WAL flush, eviction
-     and lock acquisition across the whole environment gets a single global
-     I/O-point number, so a fault plan addresses any of them. *)
-  let faults = match faults with Some f -> f | None -> Faults.create () in
-  let rid_base, rid_stride = shard_params shard in
-  let make ?rid_base ?rid_stride name =
-    match store with
-    | `Disk ->
-        Disk_store.ops
-          (Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-             ?durability ~faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
-             ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name ())
-    | `Mem ->
-        Mem_store.ops
-          (Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-             ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name
-             ())
+    ?durability ?faults ?(shard = (0, 1)) ?intern ?(engine = Runtime.default_config)
+    ?wal_segment_bytes ?ckpt_full_every ?auto_checkpoint_bytes () =
+  let d = Settings.default in
+  let pick v default = Option.value v ~default in
+  let storage =
+    {
+      Settings.page_size = pick page_size d.page_size;
+      pool_capacity = pick pool_capacity d.pool_capacity;
+      io_spin = pick io_spin d.io_spin;
+      flush_spin = pick flush_spin d.flush_spin;
+      flush_sleep = pick flush_sleep d.flush_sleep;
+      durability = pick durability d.durability;
+      wal_segment_bytes = pick wal_segment_bytes d.wal_segment_bytes;
+      ckpt_full_every = pick ckpt_full_every d.ckpt_full_every;
+      auto_checkpoint_bytes = pick auto_checkpoint_bytes d.auto_checkpoint_bytes;
+    }
   in
-  let obj_store = make ?rid_base ?rid_stride "objects" in
-  let trig_store = make "triggers" in
-  let db = Database.create ~mgr ~store:obj_store ~name:"main" in
-  assemble ?engine ?intern ~kind:store ~disk:{ page_size; pool_capacity; io_spin } ~faults ~mgr
-    ~obj_store ~trig_store ~db ()
-
-let durability t = Commit_pipeline.mode t.obj_store.Store.pipeline
+  build ?faults ?intern { kind = store; storage; engine; shard } None
 
 (* Drain both stores' group-commit pipelines: force any queued batches and
    resolve every deferred durability ack. Each pipeline is independent, so
@@ -1057,8 +1075,7 @@ end
 (* Durability. *)
 
 type crash_image = {
-  ci_kind : store_kind;
-  ci_disk : disk_config;
+  ci_settings : settings;
   ci_obj_wal : bytes;
   ci_trig_wal : bytes;
 }
@@ -1093,7 +1110,7 @@ let crash t =
   let ci_trig_wal = Wal.durable_bytes t.trig_store.Store.wal in
   t.obj_store.Store.crash ();
   t.trig_store.Store.crash ();
-  { ci_kind = t.kind; ci_disk = t.disk; ci_obj_wal; ci_trig_wal }
+  { ci_settings = t.settings; ci_obj_wal; ci_trig_wal }
 
 type recovery_report = { rr_obj_tail : int; rr_trig_tail : int }
 
@@ -1101,59 +1118,41 @@ let report_of_image image =
   let tail wal_bytes = Recovery.truncated_tail (Wal.decode_records wal_bytes) in
   { rr_obj_tail = tail image.ci_obj_wal; rr_trig_tail = tail image.ci_trig_wal }
 
-let recover ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine
-    ?wal_segment_bytes ?ckpt_full_every ?auto_checkpoint_bytes image =
-  let mgr = Txn.create_mgr () in
-  let faults = match faults with Some f -> f | None -> Faults.create () in
-  let rid_base, rid_stride = shard_params shard in
-  let { page_size; pool_capacity; io_spin } = image.ci_disk in
-  let recover ?rid_base ?rid_stride name wal_bytes =
-    match image.ci_kind with
-    | `Disk ->
-        Disk_store.ops
-          (Recovery.recover_disk ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-             ?durability ~faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
-             ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name ~wal_bytes ())
-    | `Mem ->
-        Mem_store.ops
-          (Recovery.recover_mem ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-             ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name
-             ~wal_bytes ())
+let recover ?durability ?faults ?intern ?wal_segment_bytes ?ckpt_full_every
+    ?auto_checkpoint_bytes image =
+  let s = image.ci_settings.storage in
+  let pick v default = Option.value v ~default in
+  let storage =
+    {
+      s with
+      durability = pick durability s.durability;
+      wal_segment_bytes = pick wal_segment_bytes s.wal_segment_bytes;
+      ckpt_full_every = pick ckpt_full_every s.ckpt_full_every;
+      auto_checkpoint_bytes = pick auto_checkpoint_bytes s.auto_checkpoint_bytes;
+    }
   in
-  let obj_store = recover ?rid_base ?rid_stride "objects" image.ci_obj_wal in
-  let trig_store = recover "triggers" image.ci_trig_wal in
-  let db = Database.open_existing ~mgr ~store:obj_store ~name:"main" in
   let t =
-    assemble ?engine ?intern ~kind:image.ci_kind ~disk:image.ci_disk ~faults ~mgr ~obj_store
-      ~trig_store ~db ()
+    build ?faults ?intern { image.ci_settings with storage }
+      (Some (image.ci_obj_wal, image.ci_trig_wal))
   in
-  let txn = Txn.begin_txn ~system:true mgr in
+  let txn = Txn.begin_txn ~system:true t.mgr in
   (* A crash can land between the objects store's commit flush and the
      triggers store's (commit is per-participant, not atomic across
      stores): prune trigger activations whose object did not survive.
      With no transaction in flight, the lock-free directory probe is an
      exact existence test. *)
-  assert (obj_store.Store.in_flight () = 0);
+  assert (t.obj_store.Store.in_flight () = 0);
   Runtime.rebuild_index
-    ~object_exists:(fun oid -> obj_store.Store.maybe_present (Oid.to_rid oid))
+    ~object_exists:(fun oid -> t.obj_store.Store.maybe_present (Oid.to_rid oid))
     t.rt txn;
   Txn.commit txn;
   t
 
-let recover_with_report ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine
-    image =
-  let t = recover ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine image in
-  (t, report_of_image image)
-
+let image_settings image = image.ci_settings
 let image_wals image = (image.ci_obj_wal, image.ci_trig_wal)
 
-let image_of_wals ~kind ~obj ~trig =
-  {
-    ci_kind = kind;
-    ci_disk = { page_size = None; pool_capacity = None; io_spin = None };
-    ci_obj_wal = obj;
-    ci_trig_wal = trig;
-  }
+let image_of_wals ci_settings (ci_obj_wal, ci_trig_wal) =
+  { ci_settings; ci_obj_wal; ci_trig_wal }
 
 let drain_phoenix t = Runtime.drain_phoenix t.rt
 

@@ -28,6 +28,18 @@ exception Ode_error of string
 
 type store_kind = [ `Disk | `Mem ]
 
+type settings = {
+  kind : store_kind;
+  storage : Ode_storage.Settings.t;
+      (** both stores' pages, pool, latencies, durability and capacity knobs *)
+  engine : Ode_trigger.Runtime.config;  (** the trigger runtime's posting-engine layers *)
+  shard : int * int;  (** (index, count) oid striding; (0, 1) when unsharded *)
+}
+(** Everything a session is configured with. It is given once, at
+    {!create}; {!crash} keeps it in the image, and {!recover} (hence
+    {!Ode_parallel.Sharded.recover} and {!Ode_replication.Replication.promote})
+    rebuilds the same configuration from it. *)
+
 (* ------------------------------------------------------------------ *)
 
 type obj_handle = Persistent of Oid.t | Volatile of vobj
@@ -98,56 +110,40 @@ val create :
   ?auto_checkpoint_bytes:int ->
   unit ->
   t
-(** Fresh empty database environment. [store] defaults to [`Mem]
-    (MM-Ode); [`Disk] uses the paged EOS-like store, whose page size
-    (default 4096) and buffer-pool frame count (default 64) can be tuned
-    for the I/O experiments. The sizing arguments are ignored for
-    [`Mem].
+(** Fresh empty database environment. Each label sets one field of the
+    environment's {!settings}; an omitted one takes its
+    {!Ode_storage.Settings.default}. [store] defaults to [`Mem]
+    (MM-Ode); [`Disk] uses the paged EOS-like store, whose
+    [page_size], [pool_capacity] and [io_spin] the [`Mem] store ignores.
+    The rest apply to both stores: [durability] selects the commit
+    pipeline mode ([Immediate] forces the log on every commit; [Group]
+    and [Async] batch log forces and defer durability acks, see {!sync});
+    [flush_spin]/[flush_sleep] simulate log-force latency — MM-Ode still
+    forces a log; [wal_segment_bytes], [ckpt_full_every] and
+    [auto_checkpoint_bytes] are the capacity knobs (see {!checkpoint}).
 
-    [wal_segment_bytes], [ckpt_full_every] and [auto_checkpoint_bytes]
-    are the capacity knobs, applied to both stores (see
-    {!Ode_storage.Disk_store.create}): WAL segment rotation size
-    (0 = never rotate), full-checkpoint cadence in the incremental
-    chain (1 = every checkpoint full), and the WAL-growth threshold
-    that arms the automatic quiesce-then-checkpoint policy (0 = off;
-    see {!checkpoint}).
-
-    [durability] selects the commit pipeline mode shared by both stores
-    ({!Ode_storage.Commit_pipeline.mode}): [Immediate] (default) forces
-    the log on every commit; [Group] and [Async] batch log forces and
-    defer durability acks (see {!sync}). [flush_spin] simulates per
-    log-force latency (see {!Ode_storage.Wal.create}); unlike [io_spin]
-    it applies to both store kinds — MM-Ode still forces a log.
-
-    [faults] is a fault-injection plane ({!Ode_storage.Faults}) shared by
-    {e both} disk stores, giving the whole environment one global
-    I/O-point numbering; ignored for [`Mem] (which performs no simulated
-    I/O). Default: a fresh inert plane.
-
-    [engine] selects the trigger runtime's posting-engine layers
-    ({!Ode_trigger.Runtime.config}); default
+    [engine] selects the trigger runtime's posting-engine layers; default
     {!Ode_trigger.Runtime.default_config}. Use
     {!Ode_trigger.Runtime.reference_config} for the unoptimised
     differential-reference engine.
 
-    [flush_sleep] is the blocking variant of [flush_spin] (nanoseconds;
-    see {!Ode_storage.Wal.create}) — sleeping log forces overlap across
-    {!Ode_parallel} shard domains like independent WAL devices.
-
     [shard] = [(index, count)] makes the object store mint only oids
     ≡ index (mod count) — the {!Ode_parallel} partitioning rule; default
-    [(0, 1)], the unsharded behaviour, which is bit-identical to omitting
-    it. [intern] seeds the environment's event-intern table (normally
-    {!Ode_event.Intern.of_snapshot} of shard 0's table) so global event
-    ids agree across shards without locking. *)
+    [(0, 1)], the unsharded behaviour.
 
-val store_kind : t -> store_kind
+    [faults] is a fault-injection plane ({!Ode_storage.Faults}) shared by
+    {e both} disk stores, giving the whole environment one global
+    I/O-point numbering; ignored for [`Mem] (which performs no simulated
+    I/O). Default: a fresh inert plane. [intern] seeds the environment's
+    event-intern table (normally {!Ode_event.Intern.of_snapshot} of
+    shard 0's table) so global event ids agree across shards without
+    locking. Neither is a setting: a crash image keeps neither. *)
+
+val settings : t -> settings
+(** The settings the environment was created (or recovered) with. *)
 
 val faults : t -> Ode_storage.Faults.t
 (** The environment's fault plane (inert unless a plan was armed). *)
-
-val durability : t -> Ode_storage.Commit_pipeline.mode
-(** The commit pipeline mode the environment was created with. *)
 
 val sync : t -> unit
 (** Force both stores' commit pipelines: any queued group-commit batches
@@ -435,13 +431,9 @@ val crash : t -> crash_image
     environment is unusable afterwards. *)
 
 val recover :
-  ?flush_spin:int ->
-  ?flush_sleep:int ->
   ?durability:Ode_storage.Commit_pipeline.mode ->
   ?faults:Ode_storage.Faults.t ->
-  ?shard:int * int ->
   ?intern:Ode_event.Intern.t ->
-  ?engine:Ode_trigger.Runtime.config ->
   ?wal_segment_bytes:int ->
   ?ckpt_full_every:int ->
   ?auto_checkpoint_bytes:int ->
@@ -452,10 +444,14 @@ val recover :
     garbage-collect trigger activations whose anchoring object did not
     survive (a crash between the two stores' commit flushes can orphan
     either side). Classes must be re-defined by the application before use
-    — FSMs are recompiled each run, per §5.1.3. [faults] arms a fault
-    plane on the recovered environment (default: inert). A disk image
-    recovers onto the crashed environment's [page_size], [pool_capacity]
-    and [io_spin]; an image from {!image_of_wals} uses the defaults. *)
+    — FSMs are recompiled each run, per §5.1.3.
+
+    The recovered environment runs with the image's {!settings}: store
+    kind, pages, pool, latencies, durability, capacity knobs, engine and
+    shard striding. [durability], [wal_segment_bytes], [ckpt_full_every]
+    and [auto_checkpoint_bytes] override the image's value when given.
+    [faults] arms a fault plane on the recovered environment (default:
+    inert); [intern] is as in {!create}. *)
 
 type recovery_report = { rr_obj_tail : int; rr_trig_tail : int }
 (** What {!recover} dropped, per store: the count of WAL records after
@@ -463,31 +459,25 @@ type recovery_report = { rr_obj_tail : int; rr_trig_tail : int }
     — in-flight work redo skipped rather than silently swallowed. *)
 
 val report_of_image : crash_image -> recovery_report
-(** The truncated tails an image would recover with, without recovering. *)
-
-val recover_with_report :
-  ?flush_spin:int ->
-  ?flush_sleep:int ->
-  ?durability:Ode_storage.Commit_pipeline.mode ->
-  ?faults:Ode_storage.Faults.t ->
-  ?shard:int * int ->
-  ?intern:Ode_event.Intern.t ->
-  ?engine:Ode_trigger.Runtime.config ->
-  crash_image ->
-  t * recovery_report
-(** {!recover}, also reporting the truncated tail of each store's WAL —
-    how {!Ode_replication} asserts a promoted replica's exact truncation
+(** The truncated tails an image would recover with, without recovering.
+    How {!Ode_replication} asserts a promoted replica's exact truncation
     point. *)
+
+val image_settings : crash_image -> settings
+(** The settings of the crashed environment, which {!recover} restores. *)
 
 val image_wals : crash_image -> bytes * bytes
 (** The [(objects, triggers)] durable WAL prefixes captured by the crash —
     what the fault-injection harness feeds to record-level recovery
     oracles. *)
 
-val image_of_wals : kind:store_kind -> obj:bytes -> trig:bytes -> crash_image
-(** Assemble a crash image from raw durable WAL prefixes — how a replica's
-    shipped log becomes a recoverable image at promotion
-    ({!Ode_replication}). Inverse of {!image_wals}. *)
+val image_of_wals : settings -> bytes * bytes -> crash_image
+(** Assemble a crash image from settings and raw [(objects, triggers)]
+    durable WAL prefixes — how a replica's shipped log becomes a
+    recoverable image at promotion ({!Ode_replication}), with the old
+    primary's settings. Inverse of {!image_settings} and {!image_wals}:
+    [image_of_wals (image_settings img) (image_wals img)] recovers like
+    [img]. *)
 
 val drain_phoenix : t -> unit
 (** Re-run any phoenix actions that survived a crash; call after classes

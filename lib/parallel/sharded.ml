@@ -510,20 +510,15 @@ let image_wals img i =
     invalid_arg "Sharded.image_wals: shard index out of range";
   Session.image_wals img.fl_images.(i)
 
-let recover ?flush_spin ?flush_sleep ?durability ?engine ?(mailbox_capacity = 256)
-    ?wal_segment_bytes ?ckpt_full_every ?auto_checkpoint_bytes ~mode ~schema img =
+let recover ?durability ?(mailbox_capacity = 256) ?wal_segment_bytes ?ckpt_full_every
+    ?auto_checkpoint_bytes ~mode ~schema img =
   let k = Array.length img.fl_images in
   if k < 1 then invalid_arg "Sharded.recover: empty fleet image";
   let make i intern =
-    Session.recover ?flush_spin ?flush_sleep ?durability ~shard:(i, k) ?intern ?engine
-      ?wal_segment_bytes ?ckpt_full_every ?auto_checkpoint_bytes img.fl_images.(i)
+    Session.recover ?durability ?intern ?wal_segment_bytes ?ckpt_full_every
+      ?auto_checkpoint_bytes img.fl_images.(i)
   in
   assemble_fleet ~mode ~mailbox_capacity (seeded_schema ~k ~schema ~make)
-
-let recover_with_reports ?flush_spin ?flush_sleep ?durability ?engine ?mailbox_capacity
-    ~mode ~schema img =
-  let t = recover ?flush_spin ?flush_sleep ?durability ?engine ?mailbox_capacity ~mode ~schema img in
-  (t, Array.map Session.report_of_image img.fl_images)
 
 (* ---------------- statistics ---------------- *)
 

@@ -153,10 +153,7 @@ val image_wals : fleet_image -> int -> bytes * bytes
     bit-identity oracle and the fleet-crash harness's commit clock. *)
 
 val recover :
-  ?flush_spin:int ->
-  ?flush_sleep:int ->
   ?durability:Ode_storage.Commit_pipeline.mode ->
-  ?engine:Ode_trigger.Runtime.config ->
   ?mailbox_capacity:int ->
   ?wal_segment_bytes:int ->
   ?ckpt_full_every:int ->
@@ -166,23 +163,11 @@ val recover :
   fleet_image ->
   t
 (** Rebuild all K shards from a fleet image: each shard's stores are
-    recovered from its WAL prefixes with the same (i, K) striding, the
-    schema is replayed per shard (same intern handshake as {!create}),
-    and fresh worker domains are spawned. *)
-
-val recover_with_reports :
-  ?flush_spin:int ->
-  ?flush_sleep:int ->
-  ?durability:Ode_storage.Commit_pipeline.mode ->
-  ?engine:Ode_trigger.Runtime.config ->
-  ?mailbox_capacity:int ->
-  mode:mode ->
-  schema:(shard:int -> Session.t -> unit) ->
-  fleet_image ->
-  t * Session.recovery_report array
-(** {!recover}, also reporting each shard's truncated WAL tails
-    ({!Session.recovery_report}) — the per-shard count of records after
-    the last complete commit boundary, no longer silently swallowed. *)
+    recovered from its WAL prefixes with the settings it crashed with,
+    including its (i, K) striding ({!Session.recover}); the labels
+    override the image's value on every shard. The schema is replayed
+    per shard (same intern handshake as {!create}), and fresh worker
+    domains are spawned. *)
 
 (* ---------------- statistics ---------------- *)
 

@@ -348,6 +348,13 @@ let run ~oracle ~config plan =
     in
     let env2 = promo.Replication.pm_session in
     let report = promo.Replication.pm_report in
+    (* The new primary is the old one, bar the durability overridden
+       above. *)
+    let old = Session.settings env in
+    check violations
+      (Session.settings env2
+      = { old with storage = { old.storage with durability = Commit_pipeline.Immediate } })
+      "%s: promoted primary's settings differ from the old primary's" (plan_to_string plan);
     check violations
       (report.Session.rr_obj_tail = 0 && report.Session.rr_trig_tail = 0)
       "%s: promotion truncated a non-empty tail (obj %d, trig %d)"

@@ -17,6 +17,9 @@
       never-crashed oracle, field for field;
     - {e clean truncation}: promotion reports a zero truncated tail on
       both streams (shipping is flush-aligned);
+    - {e same configuration}: the promoted primary keeps the old
+      primary's settings (pages, pool, capacity knobs, engine), except
+      the durability the sweep overrides to [Immediate];
     - {e warm standby}: each replica's incrementally replayed state
       equals [Recovery.committed_state] of its own log copy.
 

@@ -200,7 +200,6 @@ type replica = {
 
 type t = {
   primary : Session.t;
-  kind : Session.store_kind;
   replicas : replica array;
   quorum_n : int;
   mutable ship_batches : int;
@@ -289,9 +288,8 @@ let attach ?(replicas = 2) ?(failover_count = 0) primary =
   let t =
     {
       primary;
-      kind = Session.store_kind primary;
       replicas = Array.init replicas mk;
-      quorum_n = quorum_of_mode (Session.durability primary);
+      quorum_n = quorum_of_mode (Session.settings primary).storage.durability;
       ship_batches = 0;
       ship_bytes = 0;
       ship_points = 0;
@@ -364,25 +362,22 @@ type promotion = {
   pm_report : Session.recovery_report;
 }
 
-let promote ?durability ?engine ~schema t replica =
+let promote ?durability ~schema t replica =
   if replica < 0 || replica >= Array.length t.replicas then
     invalid_arg "Replication.promote: no such replica";
   t.dead <- true;
   (* the old primary must never ship again *)
   let r = t.replicas.(replica) in
-  let durability =
-    match durability with Some m -> m | None -> Session.durability t.primary
-  in
   let image =
-    Session.image_of_wals ~kind:t.kind ~obj:(Replay.log_bytes r.rp_obj)
-      ~trig:(Replay.log_bytes r.rp_trig)
+    Session.image_of_wals (Session.settings t.primary)
+      (Replay.log_bytes r.rp_obj, Replay.log_bytes r.rp_trig)
   in
-  let session, report = Session.recover_with_report ~durability ?engine image in
+  let session = Session.recover ?durability image in
   (* §5.1.3: trigger code is recompiled on recovery — the new primary
      re-runs its schema definition before serving. *)
   schema session;
   t.failover_count <- t.failover_count + 1;
-  { pm_session = session; pm_replica = replica; pm_report = report }
+  { pm_session = session; pm_replica = replica; pm_report = Session.report_of_image image }
 
 let counters t =
   let floor_off =

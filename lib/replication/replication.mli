@@ -14,11 +14,12 @@
     release in commit order once the covering prefix is persisted on [n]
     replicas, never earlier.
 
-    Failover ({!promote}) rebuilds a full session from a replica's log
-    copies: recovery truncates to the last complete commit boundary
-    (shipping is flush-aligned, so the truncated tail is 0 in this
-    transport), the schema is re-run per the paper's §5.1.3
-    recompile-on-recovery rule, and the session resumes as primary.
+    Failover ({!promote}) rebuilds a full session, with the old
+    primary's settings, from a replica's log copies: recovery truncates
+    to the last complete commit boundary (shipping is flush-aligned, so
+    the truncated tail is 0 in this transport), the schema is re-run per
+    the paper's §5.1.3 recompile-on-recovery rule, and the session
+    resumes as primary.
     Trigger firings are at-most-once across failover: a committed
     firing's durable effect survives promotion exactly once, and a
     rolled-back firing never reappears. *)
@@ -153,16 +154,18 @@ type promotion = {
 
 val promote :
   ?durability:Commit_pipeline.mode ->
-  ?engine:Ode_trigger.Runtime.config ->
   schema:(Session.t -> unit) ->
   t ->
   int ->
   promotion
 (** Promote replica [i]: recover a session from its persisted log copies
     (truncating to the last complete commit boundary), run [schema] on it
-    (§5.1.3), and mark the old primary dead. [durability] defaults to the
-    old primary's mode; attach a new manager to the returned session to
-    rebuild the fleet (seed it with [~failover_count]). *)
+    (§5.1.3), and mark the old primary dead. The new primary inherits the
+    old primary's {!Session.settings} — store kind, pages, pool, capacity
+    knobs and engine — so it is the primary it replaces; [durability],
+    when given, overrides its mode (the replicas that made a quorum are
+    gone). Attach a new manager to the returned session to rebuild the
+    fleet (seed it with [~failover_count]). *)
 
 val counters : t -> (string * int) list
 (** [ship_batches], [ship_bytes], [ship_points], [redundant_feeds],

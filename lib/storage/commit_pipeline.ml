@@ -24,18 +24,18 @@ type t = {
   mutable ack_lag_ticks : int;
   mutable quorum_waits : int;
   mutable quorum_commits : int;
-  (* Auto-checkpoint policy: once the WAL has grown [auto_ckpt_bytes]
+  (* Auto-checkpoint policy: once the WAL has grown [auto_checkpoint_bytes]
      past the last checkpoint, [auto_checkpoint_due] turns true. The
      pipeline only *signals* — the owner (Session) takes the checkpoint
      at the next quiescent transaction boundary, because a checkpoint
      inside a flush would see the committing transaction's undo entry
      still live. 0 disables the policy. *)
-  auto_ckpt_bytes : int;
+  auto_checkpoint_bytes : int;
   mutable last_ckpt_size : int;
   mutable auto_ckpts : int;
 }
 
-let create ?(mode = Immediate) ?(auto_ckpt_bytes = 0) wal =
+let create ~mode ~auto_checkpoint_bytes wal =
   {
     wal;
     mode;
@@ -52,7 +52,7 @@ let create ?(mode = Immediate) ?(auto_ckpt_bytes = 0) wal =
     ack_lag_ticks = 0;
     quorum_waits = 0;
     quorum_commits = 0;
-    auto_ckpt_bytes;
+    auto_checkpoint_bytes;
     last_ckpt_size = 0;
     auto_ckpts = 0;
   }
@@ -60,7 +60,7 @@ let create ?(mode = Immediate) ?(auto_ckpt_bytes = 0) wal =
 let mode t = t.mode
 
 let auto_checkpoint_due t =
-  t.auto_ckpt_bytes > 0 && Wal.durable_size t.wal - t.last_ckpt_size >= t.auto_ckpt_bytes
+  t.auto_checkpoint_bytes > 0 && Wal.durable_size t.wal - t.last_ckpt_size >= t.auto_checkpoint_bytes
 
 (* Called by the store at the end of every checkpoint (manual or
    policy-driven): rearms the growth trigger. *)

@@ -56,9 +56,9 @@ type mode =
 
 type t
 
-val create : ?mode:mode -> ?auto_ckpt_bytes:int -> Wal.t -> t
-(** A pipeline over [wal]. [mode] defaults to [Immediate].
-    [auto_ckpt_bytes] (default 0 = off) arms the auto-checkpoint policy:
+val create : mode:mode -> auto_checkpoint_bytes:int -> Wal.t -> t
+(** A pipeline over [wal] (the store's {!Settings.t} supplies both).
+    [auto_checkpoint_bytes] (0 = off) arms the auto-checkpoint policy:
     once the WAL durable prefix has grown that many bytes past the last
     checkpoint, {!auto_checkpoint_due} turns true. The pipeline never
     checkpoints itself — the session owning the store reads the signal
@@ -68,7 +68,7 @@ val mode : t -> mode
 
 val auto_checkpoint_due : t -> bool
 (** WAL growth since the last {!note_checkpoint} has reached the
-    configured [auto_ckpt_bytes] threshold (always [false] when the
+    configured [auto_checkpoint_bytes] threshold (always [false] when the
     policy is off). *)
 
 val note_checkpoint : t -> unit

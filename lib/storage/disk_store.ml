@@ -216,11 +216,10 @@ end
 
 include Record_store.Make (Phys)
 
-let create ?(page_size = 4096) ?(pool_capacity = 64) ?io_spin ?flush_spin ?flush_sleep
-    ?durability ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
-    ?auto_ckpt_bytes ~mgr ~name () =
+let create ?(settings = Settings.default) ?faults ?rid_base ?rid_stride ~mgr ~name () =
   let faults = match faults with Some f -> f | None -> Faults.create () in
-  let pager = Pager.create ?io_spin ~faults ~page_size () in
-  let pool = Buffer_pool.create ~faults pager ~capacity:pool_capacity in
-  create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride ?wal_segment_bytes
-    ?ckpt_full_every ?auto_ckpt_bytes ~faults ~mgr ~name (Phys.create pager pool)
+  let pager =
+    Pager.create ~io_spin:settings.Settings.io_spin ~faults ~page_size:settings.page_size ()
+  in
+  let pool = Buffer_pool.create ~faults pager ~capacity:settings.pool_capacity in
+  create ~settings ?rid_base ?rid_stride ~faults ~mgr ~name (Phys.create pager pool)

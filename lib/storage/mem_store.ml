@@ -26,8 +26,6 @@ include Record_store.Make (Phys)
 (* The fault plane is private and never armed: the store performs no
    simulated I/O, and one plane shared with the WAL keeps lock
    acquisition on the same code path as the disk store's. *)
-let create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride ?wal_segment_bytes
-    ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name () =
-  create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride ?wal_segment_bytes
-    ?ckpt_full_every ?auto_ckpt_bytes ~faults:(Faults.create ()) ~mgr ~name
+let create ?(settings = Settings.default) ?rid_base ?rid_stride ~mgr ~name () =
+  create ~settings ?rid_base ?rid_stride ~faults:(Faults.create ()) ~mgr ~name
     (Rid.Tbl.create 256)

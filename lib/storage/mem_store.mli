@@ -11,18 +11,8 @@
 include Record_store.S
 
 val create :
-  ?flush_spin:int ->
-  ?flush_sleep:int ->
-  ?durability:Commit_pipeline.mode ->
-  ?rid_base:int ->
-  ?rid_stride:int ->
-  ?wal_segment_bytes:int ->
-  ?ckpt_full_every:int ->
-  ?auto_ckpt_bytes:int ->
-  mgr:Txn.mgr ->
-  name:string ->
-  unit ->
-  t
-(** Parameters as in {!Disk_store.create}. There is no [faults]: the
+  ?settings:Settings.t -> ?rid_base:int -> ?rid_stride:int -> mgr:Txn.mgr -> name:string -> unit -> t
+(** Parameters as in {!Disk_store.create}; the page, pool and [io_spin]
+    settings are ignored. There is no [faults]: the
     store's fault plane is private and never armed. There is no bloom
     filter either: the record table is its own O(1) membership probe. *)

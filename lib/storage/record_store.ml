@@ -390,12 +390,14 @@ module Make (P : PHYS) = struct
         ("mvcc.live_snapshots", Txn.live_snapshot_count t.mgr);
       ]
 
-  let create ?flush_spin ?flush_sleep ?durability ?(rid_base = 0) ?(rid_stride = 1)
-      ?(wal_segment_bytes = 0) ?(ckpt_full_every = 1) ?auto_ckpt_bytes ~faults ~mgr ~name phys =
+  let create ~(settings : Settings.t) ?(rid_base = 0) ?(rid_stride = 1) ~faults ~mgr ~name phys =
     if rid_stride < 1 || rid_base < 0 || rid_base >= rid_stride then
       fail "store %s: rid_base %d must lie in [0, rid_stride=%d)" name rid_base rid_stride;
-    if ckpt_full_every < 1 then fail "store %s: ckpt_full_every must be >= 1" name;
-    let wal = Wal.create ~faults ?flush_spin ?flush_sleep ~segment_bytes:wal_segment_bytes () in
+    if settings.ckpt_full_every < 1 then fail "store %s: ckpt_full_every must be >= 1" name;
+    let wal =
+      Wal.create ~faults ~flush_spin:settings.flush_spin ~flush_sleep:settings.flush_sleep
+        ~segment_bytes:settings.wal_segment_bytes ()
+    in
     let t =
       {
         name;
@@ -403,12 +405,14 @@ module Make (P : PHYS) = struct
         faults;
         phys;
         wal;
-        pipeline = Commit_pipeline.create ?mode:durability ?auto_ckpt_bytes wal;
+        pipeline =
+          Commit_pipeline.create ~mode:settings.durability
+            ~auto_checkpoint_bytes:settings.auto_checkpoint_bytes wal;
         sorted_rids = None;
         undo = Hashtbl.create 8;
         chains = Mvcc.create ();
         dirty = Rid.Tbl.create 64;
-        ckpt_full_every;
+        ckpt_full_every = settings.ckpt_full_every;
         ckpt_seq = 0;
         last_full_seq = -1;
         rid_base;

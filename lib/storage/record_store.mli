@@ -88,14 +88,9 @@ module Make (P : PHYS) : sig
   include S
 
   val create :
-    ?flush_spin:int ->
-    ?flush_sleep:int ->
-    ?durability:Commit_pipeline.mode ->
+    settings:Settings.t ->
     ?rid_base:int ->
     ?rid_stride:int ->
-    ?wal_segment_bytes:int ->
-    ?ckpt_full_every:int ->
-    ?auto_ckpt_bytes:int ->
     faults:Faults.t ->
     mgr:Txn.mgr ->
     name:string ->

@@ -79,18 +79,10 @@ let rebuild ~create ~load_bulk ~anchor_from wal_bytes =
   anchor_from store state;
   store
 
-let recover_disk ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep ?durability
-    ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name
-    ~wal_bytes () =
+let recover_disk ?settings ?faults ?rid_base ?rid_stride ~mgr ~name ~wal_bytes () =
   rebuild ~load_bulk:Disk_store.load_bulk ~anchor_from:Disk_store.anchor_from wal_bytes
-    ~create:(fun () ->
-      Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep ?durability
-        ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ~mgr
-        ~name ())
+    ~create:(Disk_store.create ?settings ?faults ?rid_base ?rid_stride ~mgr ~name)
 
-let recover_mem ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride ?wal_segment_bytes
-    ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name ~wal_bytes () =
+let recover_mem ?settings ?rid_base ?rid_stride ~mgr ~name ~wal_bytes () =
   rebuild ~load_bulk:Mem_store.load_bulk ~anchor_from:Mem_store.anchor_from wal_bytes
-    ~create:(fun () ->
-      Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-        ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name ())
+    ~create:(Mem_store.create ?settings ?rid_base ?rid_stride ~mgr ~name)

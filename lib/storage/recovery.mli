@@ -27,24 +27,16 @@ val committed_state : Wal.record list -> (Rid.t * bytes) list
 val truncated_tail : Wal.record list -> int
 (** Records after the last complete commit boundary — the trailing
     Begin/Op run of transactions no durable marker ever resolved, which
-    redo silently skips. Reported by [Session.recover_with_report] so
+    redo silently skips. Reported by [Session.report_of_image] so
     the replication tests can assert exact truncation points. [Abort]
     counts as a boundary: truncating a durable Abort would resurrect the
     Commit it cancels (last-marker-wins). *)
 
 val recover_disk :
-  ?page_size:int ->
-  ?pool_capacity:int ->
-  ?io_spin:int ->
-  ?flush_spin:int ->
-  ?flush_sleep:int ->
-  ?durability:Commit_pipeline.mode ->
+  ?settings:Settings.t ->
   ?faults:Faults.t ->
   ?rid_base:int ->
   ?rid_stride:int ->
-  ?wal_segment_bytes:int ->
-  ?ckpt_full_every:int ->
-  ?auto_ckpt_bytes:int ->
   mgr:Txn.mgr ->
   name:string ->
   wal_bytes:bytes ->
@@ -52,23 +44,17 @@ val recover_disk :
   Disk_store.t
 (** Build a fresh disk store holding exactly the committed state of the
     given durable log bytes. The new store's own WAL begins with a
-    checkpoint of the recovered state. [durability] configures the
-    recovered store's commit pipeline (default [Immediate]);
-    [rid_base]/[rid_stride] must repeat the crashed store's shard
-    partitioning so post-recovery allocations stay in its residue class
-    (see {!Disk_store.create}). The capacity knobs
-    ([wal_segment_bytes], [ckpt_full_every], [auto_ckpt_bytes]) should
-    likewise repeat the crashed store's settings. *)
+    checkpoint of the recovered state. The log does not record the
+    store's configuration: [settings] (default {!Settings.default}) and
+    [rid_base]/[rid_stride] should repeat the crashed store's, so the
+    recovered store keeps its pages, pool, durability mode and capacity
+    knobs, and post-recovery allocations stay in its residue class (see
+    {!Disk_store.create}). A session's crash image carries all of them. *)
 
 val recover_mem :
-  ?flush_spin:int ->
-  ?flush_sleep:int ->
-  ?durability:Commit_pipeline.mode ->
+  ?settings:Settings.t ->
   ?rid_base:int ->
   ?rid_stride:int ->
-  ?wal_segment_bytes:int ->
-  ?ckpt_full_every:int ->
-  ?auto_ckpt_bytes:int ->
   mgr:Txn.mgr ->
   name:string ->
   wal_bytes:bytes ->

@@ -48,7 +48,7 @@ type t = {
   mutable bytes_cache : bytes option;  (* copy of the retained log, while current *)
 }
 
-let create ?faults ?(flush_spin = 0) ?(flush_sleep = 0) ?(segment_bytes = 0) () =
+let create ?faults ~flush_spin ~flush_sleep ~segment_bytes () =
   let faults = match faults with Some f -> f | None -> Faults.create () in
   {
     active = Buffer.create 4096;

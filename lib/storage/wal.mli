@@ -56,19 +56,20 @@ type record =
 type t
 
 val create :
-  ?faults:Faults.t -> ?flush_spin:int -> ?flush_sleep:int -> ?segment_bytes:int -> unit -> t
+  ?faults:Faults.t -> flush_spin:int -> flush_sleep:int -> segment_bytes:int -> unit -> t
 (** [faults] is the fault-injection plane consulted on every non-empty
     {!flush} (default: a fresh inert plane). A [Fail] there models a
     failed fsync (the tail stays buffered); a [Torn] appends only a byte
     prefix of the flush — usually ending mid-record — and then crashes.
+    The other three come from the store's {!Settings.t}.
     [flush_spin] simulates log-force latency: each successful non-empty
-    flush busy-loops that many iterations (default 0), the WAL's analogue
+    flush busy-loops that many iterations, the WAL's analogue
     of {!Pager.create}'s [io_spin] — how the benchmarks give fsync a
-    realistic cost. [flush_sleep] (nanoseconds, default 0) is the
+    realistic cost. [flush_sleep] (nanoseconds, 0 = none) is the
     {e blocking} variant: the flush sleeps instead of spinning, releasing
     the processor, so concurrent shards ({!Ode_parallel}) overlap their
     log forces like independent WAL devices even on one core.
-    [segment_bytes] (default 0 = never) seals the active segment at the
+    [segment_bytes] (0 = never) seals the active segment at the
     first flush boundary at or past that many bytes, enabling
     {!retire_below}. *)
 

@@ -16,6 +16,7 @@ module Bloom = Ode_storage.Bloom
 module Disk_store = Ode_storage.Disk_store
 module Mem_store = Ode_storage.Mem_store
 module Recovery = Ode_storage.Recovery
+module Settings = Ode_storage.Settings
 module Prng = Ode_util.Prng
 module Session = Ode.Session
 module Value = Ode_objstore.Value
@@ -76,8 +77,16 @@ let segments_rotate_and_retire () =
   let mgr = Txn.create_mgr () in
   let store =
     Disk_store.ops
-      (Disk_store.create ~mgr ~name:"cap" ~page_size:512 ~pool_capacity:8
-         ~wal_segment_bytes:512 ~ckpt_full_every:2 ())
+      (Disk_store.create ~mgr ~name:"cap"
+         ~settings:
+           {
+             Settings.default with
+             page_size = 512;
+             pool_capacity = 8;
+             wal_segment_bytes = 512;
+             ckpt_full_every = 2;
+           }
+         ())
   in
   let rids = ref [] in
   for i = 1 to 48 do
@@ -108,7 +117,9 @@ let recovery_re_anchors () =
   let mgr = Txn.create_mgr () in
   let store =
     Disk_store.ops
-      (Disk_store.create ~mgr ~name:"cap" ~wal_segment_bytes:512 ~ckpt_full_every:3 ())
+      (Disk_store.create ~mgr ~name:"cap"
+         ~settings:{ Settings.default with wal_segment_bytes = 512; ckpt_full_every = 3 }
+         ())
   in
   for i = 1 to 20 do
     ignore (commit_insert mgr store (Printf.sprintf "v%d" i));
@@ -141,15 +152,19 @@ let crash_sweep kind () =
   Seeds.with_seed "capacity.crash_sweep" @@ fun seed ->
   let rng = Prng.create ~seed:(Int64.of_int seed) in
   let mgr = Txn.create_mgr () in
+  let settings =
+    {
+      Settings.default with
+      page_size = 512;
+      pool_capacity = 8;
+      wal_segment_bytes = 512;
+      ckpt_full_every = 3;
+    }
+  in
   let store =
     match kind with
-    | `Disk ->
-        Disk_store.ops
-          (Disk_store.create ~mgr ~name:"sweep" ~page_size:512 ~pool_capacity:8
-             ~wal_segment_bytes:512 ~ckpt_full_every:3 ())
-    | `Mem ->
-        Mem_store.ops
-          (Mem_store.create ~mgr ~name:"sweep" ~wal_segment_bytes:512 ~ckpt_full_every:3 ())
+    | `Disk -> Disk_store.ops (Disk_store.create ~mgr ~name:"sweep" ~settings ())
+    | `Mem -> Mem_store.ops (Mem_store.create ~mgr ~name:"sweep" ~settings ())
   in
   let model : (int, string) Hashtbl.t = Hashtbl.create 64 in
   let live = ref [] in
@@ -344,7 +359,9 @@ let auto_checkpoint_policy () =
 let maybe_present_probe () =
   let mgr = Txn.create_mgr () in
   let store =
-    Disk_store.ops (Disk_store.create ~mgr ~name:"probe" ~ckpt_full_every:1 ())
+    Disk_store.ops
+      (Disk_store.create ~mgr ~name:"probe"
+         ~settings:{ Settings.default with ckpt_full_every = 1 } ())
   in
   let live = Array.init 30 (fun i -> commit_insert mgr store (Printf.sprintf "live%d" i)) in
   let doomed = Array.init 20 (fun i -> commit_insert mgr store (Printf.sprintf "dead%d" i)) in
@@ -378,7 +395,9 @@ let bloom_incremental_refresh () =
   let counter (store : Store.t) name = List.assoc name (store.Store.counters ()) in
   let mgr = Txn.create_mgr () in
   let store =
-    Disk_store.ops (Disk_store.create ~mgr ~name:"incr" ~ckpt_full_every:1 ())
+    Disk_store.ops
+      (Disk_store.create ~mgr ~name:"incr"
+         ~settings:{ Settings.default with ckpt_full_every = 1 } ())
   in
   let base =
     Array.init 2_000 (fun i -> commit_insert mgr store (Printf.sprintf "b%d" i))

@@ -29,7 +29,10 @@ let differential_run ~page_size ~pool_capacity seed rounds =
   let mgr = Txn.create_mgr () in
   let mem = Mem_store.ops (Mem_store.create ~mgr ~name:"mem" ()) in
   let disk =
-    Disk_store.ops (Disk_store.create ~page_size ~pool_capacity ~mgr ~name:"disk" ())
+    Disk_store.ops
+      (Disk_store.create
+         ~settings:{ Ode_storage.Settings.default with page_size; pool_capacity }
+         ~mgr ~name:"disk" ())
   in
   let prng = Prng.create ~seed:(Int64.of_int seed) in
   let live = ref [] in  (* rids present in committed state, newest first *)

@@ -18,9 +18,10 @@ module Prng = Ode_util.Prng
 
 let b = Bytes.of_string
 
-let make_store ?durability () =
+let make_store ?(durability = Ode_storage.Commit_pipeline.Immediate) () =
   let mgr = Txn.create_mgr () in
-  let store = Mem_store.ops (Mem_store.create ?durability ~mgr ~name:"t" ()) in
+  let settings = { Ode_storage.Settings.default with durability } in
+  let store = Mem_store.ops (Mem_store.create ~settings ~mgr ~name:"t" ()) in
   (mgr, store)
 
 let commit_write mgr store payload =

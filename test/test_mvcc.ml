@@ -49,7 +49,11 @@ let lanes_env ~default =
 let make_store kind mgr name =
   match kind with
   | `Mem -> Mem_store.ops (Mem_store.create ~mgr ~name ())
-  | `Disk -> Disk_store.ops (Disk_store.create ~mgr ~name ~page_size:256 ~pool_capacity:8 ())
+  | `Disk ->
+      Disk_store.ops
+        (Disk_store.create ~mgr ~name
+           ~settings:{ Ode_storage.Settings.default with page_size = 256; pool_capacity = 8 }
+           ())
 
 let counter counters name = try List.assoc name counters with Not_found -> 0
 

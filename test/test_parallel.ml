@@ -564,6 +564,47 @@ let fleet_crash_sweep () =
     true
     (Hashtbl.length seen >= 3)
 
+(* With no settings labels, Sharded.recover rebuilds every shard as it
+   crashed: the same settings and the same (i, K) rid striding. *)
+let recover_keeps_shard_settings () =
+  let k = 3 in
+  let schema ~shard:_ s = define_schema ~logf:ignore s in
+  let fleet =
+    Sharded.create ~store:`Disk ~page_size:512 ~pool_capacity:8
+      ~durability:(Cp.Group { max_batch = 4; max_delay_ticks = 16 })
+      ~engine:Ode_trigger.Runtime.reference_config ~wal_segment_bytes:2048 ~ckpt_full_every:3
+      ~auto_checkpoint_bytes:4096 ~shards:k ~mode:Sharded.Deterministic ~schema ()
+  in
+  let crashed = Array.init k (fun i -> Session.settings (Sharded.session fleet i)) in
+  let fleet = Sharded.recover ~mode:Sharded.Deterministic ~schema (Sharded.crash fleet) in
+  let oids = Array.make k None in
+  for s = 0 to k - 1 do
+    Sharded.submit fleet ~key:s (fun ctx txn -> setup_body ctx.Sharded.session oids s txn)
+  done;
+  Sharded.barrier fleet;
+  for r = 1 to 40 do
+    for s = 0 to k - 1 do
+      Sharded.submit fleet ~key:s (fun ctx txn ->
+          ignore
+            (Session.invoke ctx.Sharded.session txn (Option.get oids.(s)) "Dep"
+               [ Value.Float (float_of_int r) ]))
+    done;
+    Sharded.barrier fleet
+  done;
+  Sharded.sync fleet;
+  for i = 0 to k - 1 do
+    let session = Sharded.session fleet i in
+    let what = Printf.sprintf "shard %d" i in
+    Alcotest.(check bool) (what ^ " keeps its settings") true
+      (Session.settings session = crashed.(i));
+    Alcotest.(check (pair int int)) (what ^ " keeps its striding") (i, k)
+      (Session.settings session).Session.shard;
+    Alcotest.(check int) (what ^ " mints its own oids") i (Oid.to_int (Option.get oids.(i)) mod k);
+    Alcotest.(check bool) (what ^ " seals segments") true
+      (List.assoc "objects.segments_sealed" (Session.counters session) > 0)
+  done;
+  Sharded.shutdown fleet
+
 let suite =
   [
     Alcotest.test_case "deterministic differential vs sequential reference" `Quick differential;
@@ -571,4 +612,5 @@ let suite =
     Alcotest.test_case "per-task latencies recorded" `Quick latencies_recorded;
     Alcotest.test_case "intern snapshot handshake" `Quick intern_handshake;
     Alcotest.test_case "fleet crash sweep at every WAL-flush point" `Quick fleet_crash_sweep;
+    Alcotest.test_case "recovery keeps every shard's settings" `Quick recover_keeps_shard_settings;
   ]

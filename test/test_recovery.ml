@@ -13,11 +13,12 @@ module Prng = Ode_util.Prng
 
 let b = Bytes.of_string
 
+let small_pages = { Ode_storage.Settings.default with page_size = 256; pool_capacity = 4 }
+
 let make kind mgr name =
   match kind with
   | `Disk ->
-      let s = Disk_store.create ~mgr ~name ~page_size:256 ~pool_capacity:4 () in
-      Disk_store.ops s
+      Disk_store.ops (Disk_store.create ~mgr ~name ~settings:small_pages ())
   | `Mem -> Mem_store.ops (Mem_store.create ~mgr ~name ())
 
 let recover kind ~wal_bytes =
@@ -157,22 +158,17 @@ let both label f = [
    work; the shipping paths live in test_replication.ml). *)
 let replay_batch_idempotent kind () =
   let mgr = Txn.create_mgr () in
+  let settings =
+    {
+      small_pages with
+      durability = Ode_storage.Commit_pipeline.Group { max_batch = 8; max_delay_ticks = 64 };
+    }
+  in
   let store =
     match kind with
     | `Disk ->
-        Disk_store.ops
-          (Disk_store.create
-             ~durability:
-               (Ode_storage.Commit_pipeline.Group
-                  { max_batch = 8; max_delay_ticks = 64 })
-             ~mgr ~name:"p" ~page_size:256 ~pool_capacity:4 ())
-    | `Mem ->
-        Mem_store.ops
-          (Mem_store.create
-             ~durability:
-               (Ode_storage.Commit_pipeline.Group
-                  { max_batch = 8; max_delay_ticks = 64 })
-             ~mgr ~name:"p" ())
+        Disk_store.ops (Disk_store.create ~settings ~mgr ~name:"p" ())
+    | `Mem -> Mem_store.ops (Mem_store.create ~settings ~mgr ~name:"p" ())
   in
   let module Replay = Ode_replication.Replication.Replay in
   let replica = Replay.create () in

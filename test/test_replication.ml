@@ -50,9 +50,10 @@ let quorum_mode_strings () =
 (* ------------------------------------------------------------------ *)
 (* Replay *)
 
-let make_store ?durability () =
+let make_store ?(durability = Ode_storage.Commit_pipeline.Immediate) () =
   let mgr = Txn.create_mgr () in
-  let store = Mem_store.ops (Mem_store.create ?durability ~mgr ~name:"t" ()) in
+  let settings = { Ode_storage.Settings.default with durability } in
+  let store = Mem_store.ops (Mem_store.create ~settings ~mgr ~name:"t" ()) in
   (mgr, store)
 
 let commit_write mgr store payload =
@@ -241,8 +242,7 @@ let truncated_tail_reported () =
   let report = Session.report_of_image image in
   Alcotest.(check int) "objects tail" 2 report.Session.rr_obj_tail;
   Alcotest.(check int) "triggers tail" 0 report.Session.rr_trig_tail;
-  let env2, report2 = Session.recover_with_report image in
-  Alcotest.(check int) "recover reports the same tail" 2 report2.Session.rr_obj_tail;
+  let env2 = Session.recover image in
   Session.define_class env2 ~name:"Box" ~fields:[ ("v", Value.Int 0) ] ();
   Alcotest.(check int)
     "dangler not replayed" 1
@@ -343,6 +343,48 @@ let promote_preserves_state () =
     "failover counted" 1
     (List.assoc "failover_count" (Replication.counters mgr))
 
+(* A promoted primary is the primary it replaces: it inherits the old
+   primary's settings, unless [~durability] overrides the mode. *)
+let promote_keeps_settings () =
+  let durability = Commit_pipeline.Quorum { n = 2; max_batch = 4; max_delay_ticks = 12 } in
+  let env =
+    Session.create ~store:`Disk ~page_size:512 ~pool_capacity:8 ~durability
+      ~engine:Ode_trigger.Runtime.reference_config ~wal_segment_bytes:2048 ~ckpt_full_every:3
+      ~auto_checkpoint_bytes:4096 ()
+  in
+  Crashfleet.define_schema env;
+  let deposits env =
+    let acct =
+      Session.with_txn env (fun txn ->
+          Session.pnew env txn ~cls:"Acct" ~init:[ ("idx", Value.Int 0); ("bal", Value.Int 0) ] ())
+    in
+    for i = 1 to 40 do
+      Session.with_txn env (fun txn -> ignore (Session.invoke env txn acct "Dep" [ Value.Int i ]))
+    done;
+    Session.sync env
+  in
+  let old = Session.settings env in
+  let mgr = Replication.attach ~replicas:2 env in
+  deposits env;
+  let env2 =
+    (Replication.promote ~schema:Crashfleet.define_schema mgr (Replication.furthest_ahead mgr))
+      .Replication.pm_session
+  in
+  Alcotest.(check bool) "promotion inherits every setting" true (Session.settings env2 = old);
+  let mgr2 = Replication.attach ~replicas:2 env2 in
+  deposits env2;
+  let counter name = List.assoc ("objects." ^ name) (Session.counters env2) in
+  Alcotest.(check bool) "promoted primary seals segments" true (counter "segments_sealed" > 0);
+  Alcotest.(check bool) "promoted primary auto-checkpoints" true (counter "auto_ckpts" > 0);
+  let env3 =
+    (Replication.promote ~durability:Commit_pipeline.Immediate
+       ~schema:Crashfleet.define_schema mgr2 (Replication.furthest_ahead mgr2))
+      .Replication.pm_session
+  in
+  Alcotest.(check bool) "explicit durability overrides, the rest is inherited" true
+    (Session.settings env3
+    = { old with storage = { old.storage with durability = Commit_pipeline.Immediate } })
+
 (* ------------------------------------------------------------------ *)
 (* The Crashfleet sweep: the centerpiece. *)
 
@@ -411,6 +453,7 @@ let suite =
     Alcotest.test_case "truncated tail reported" `Quick truncated_tail_reported;
     Alcotest.test_case "abort is a boundary" `Quick abort_is_a_boundary;
     Alcotest.test_case "promotion preserves state" `Quick promote_preserves_state;
+    Alcotest.test_case "promotion keeps the primary's settings" `Quick promote_keeps_settings;
     Alcotest.test_case "fleet crash sweep" `Quick fleet_sweep;
     Alcotest.test_case "fleet multi-seed differential" `Quick fleet_multi_seed;
   ]

@@ -203,6 +203,70 @@ let recovery_keeps_pool_config () =
   Alcotest.(check bool) "recovered pool evicts" true
     (List.assoc "objects.pool_evictions" (Session.counters env) > 0)
 
+(* Every setting off its default: recovery with no arguments, twice in a
+   row and once through an image reassembled from its parts, must keep
+   all of them, so the capacity machinery keeps running afterwards. *)
+let recovery_keeps_settings kind () =
+  let durability = Ode_storage.Commit_pipeline.Group { max_batch = 4; max_delay_ticks = 16 } in
+  let env =
+    Session.create ~store:kind ~page_size:1024 ~pool_capacity:16 ~io_spin:1 ~flush_spin:1
+      ~flush_sleep:1 ~durability ~shard:(1, 3) ~engine:Runtime.reference_config
+      ~wal_segment_bytes:4096 ~ckpt_full_every:4 ~auto_checkpoint_bytes:16384 ()
+  in
+  let want = Session.settings env in
+  let fields (s : Ode_storage.Settings.t) =
+    [ s.page_size; s.pool_capacity; s.io_spin; s.flush_spin; s.flush_sleep;
+      s.wal_segment_bytes; s.ckpt_full_every; s.auto_checkpoint_bytes ]
+  in
+  let d = Ode_storage.Settings.default in
+  Alcotest.(check bool) "no setting at its default" true
+    (List.for_all2 ( <> ) (fields want.Session.storage) (fields d)
+    && want.Session.storage.durability <> d.durability
+    && want.Session.engine <> Runtime.default_config
+    && want.Session.shard <> (0, 1));
+  Credit_card.define_all env;
+  let card, merchant =
+    Session.with_txn env (fun txn ->
+        let customer = Credit_card.new_customer env txn ~name:"R" in
+        let merchant = Credit_card.new_merchant env txn ~name:"M" in
+        let card = Credit_card.new_card env txn ~customer ~limit:1e9 () in
+        ignore (Session.activate env txn card ~trigger:"DenyCredit" ~args:[]);
+        (card, merchant))
+  in
+  let buys = ref 0 in
+  let run env =
+    for _ = 1 to 100 do
+      Session.with_txn env (fun txn -> Credit_card.buy env txn card ~merchant ~amount:1.0);
+      incr buys
+    done;
+    Session.sync env
+  in
+  let keeps_running what env =
+    Alcotest.(check bool) (what ^ ": same settings") true (Session.settings env = want);
+    run env;
+    let counter name = List.assoc ("objects." ^ name) (Session.counters env) in
+    Alcotest.(check bool) (what ^ ": seals segments") true (counter "segments_sealed" > 0);
+    Alcotest.(check bool) (what ^ ": takes auto-checkpoints") true (counter "auto_ckpts" > 0);
+    Alcotest.(check bool) (what ^ ": writes deltas") true (counter "ckpt_deltas" > 0);
+    Session.with_txn env (fun txn ->
+        Alcotest.(check (float 1e-9)) (what ^ ": balance") (float_of_int !buys)
+          (Credit_card.balance env txn card))
+  in
+  let recover image =
+    let env = Session.recover image in
+    Credit_card.define_all env;
+    env
+  in
+  keeps_running "created" env;
+  let env = recover (Session.crash env) in
+  keeps_running "recovered" env;
+  let env = recover (Session.crash env) in
+  keeps_running "recovered twice" env;
+  let image = Session.crash env in
+  Alcotest.(check bool) "image keeps the settings" true (Session.image_settings image = want);
+  keeps_running "recovered from image parts"
+    (recover (Session.image_of_wals (Session.image_settings image) (Session.image_wals image)))
+
 (* A Counter with an immediate trigger [T] and a phoenix trigger [P]
    whose action aborts until [allow] is set, so its queue entry stays
    committed and undrained across a crash. *)
@@ -266,7 +330,7 @@ let dangling_row_pruned kind () =
     define_phoenix_counter env ~allow ~fired;
     env
   in
-  let env = recover (Session.image_of_wals ~kind ~obj:obj_wal ~trig:trig_wal) in
+  let env = recover (Session.image_of_wals (Session.settings env) (obj_wal, trig_wal)) in
   Alcotest.(check int) "dangling row deleted" 0 (rows_for env b);
   Alcotest.(check int) "surviving rows kept" 2 (rows_for env a);
   Session.with_txn env (fun txn ->
@@ -335,4 +399,5 @@ let suite =
       both_kinds "dangling activation row pruned" dangling_row_pruned;
       both_kinds "recovery takes no locks" recovery_takes_no_locks;
       [ Alcotest.test_case "recovery keeps the disk pool config" `Quick recovery_keeps_pool_config ];
+      both_kinds "recovery keeps every setting" recovery_keeps_settings;
     ]

@@ -15,7 +15,11 @@ let make_store kind =
   let mgr = Txn.create_mgr () in
   let store =
     match kind with
-    | `Disk -> Disk_store.ops (Disk_store.create ~mgr ~name:"t" ~page_size:256 ~pool_capacity:4 ())
+    | `Disk ->
+        Disk_store.ops
+          (Disk_store.create ~mgr ~name:"t"
+             ~settings:{ Ode_storage.Settings.default with page_size = 256; pool_capacity = 4 }
+             ())
     | `Mem -> Mem_store.ops (Mem_store.create ~mgr ~name:"t" ())
   in
   (mgr, store)

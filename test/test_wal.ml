@@ -27,8 +27,10 @@ let record_equal a b =
   (* Structural equality is fine: records contain only ints and bytes. *)
   a = b
 
+let new_wal () = Wal.create ~flush_spin:0 ~flush_sleep:0 ~segment_bytes:0 ()
+
 let roundtrip () =
-  let wal = Wal.create () in
+  let wal = new_wal () in
   List.iter (Wal.append wal) sample_records;
   Wal.flush wal;
   let decoded = Wal.durable_records wal in
@@ -40,7 +42,7 @@ let roundtrip () =
     sample_records decoded
 
 let durability_boundary () =
-  let wal = Wal.create () in
+  let wal = new_wal () in
   Wal.append wal (Wal.Begin 1);
   Wal.append wal (Wal.Commit 1);
   Alcotest.(check int) "nothing durable before flush" 0 (List.length (Wal.durable_records wal));
@@ -52,7 +54,7 @@ let durability_boundary () =
   Alcotest.(check int) "tail in all_records" 3 (List.length (Wal.all_records wal))
 
 let torn_write () =
-  let wal = Wal.create () in
+  let wal = new_wal () in
   List.iter (Wal.append wal) sample_records;
   Wal.flush wal;
   let full = Wal.durable_bytes wal in
@@ -88,7 +90,7 @@ let random_roundtrip () =
       let prng = Prng.create ~seed:(Int64.of_int seed) in
       for _trial = 1 to 50 do
         let records = List.init (Prng.int prng 20) (fun _ -> random_record prng) in
-        let wal = Wal.create () in
+        let wal = new_wal () in
         List.iter (Wal.append wal) records;
         Wal.flush wal;
         if not (List.for_all2 record_equal records (Wal.durable_records wal)) then
@@ -103,7 +105,7 @@ let random_truncation () =
       let prng = Prng.create ~seed:(Int64.of_int seed) in
       for _trial = 1 to 12 do
         let records = List.init (1 + Prng.int prng 10) (fun _ -> random_record prng) in
-        let wal = Wal.create () in
+        let wal = new_wal () in
         List.iter (Wal.append wal) records;
         Wal.flush wal;
         let full = Wal.durable_bytes wal in
@@ -128,7 +130,7 @@ let random_truncation () =
 let incremental_decode_cache () =
   Seeds.with_seed ~default:9 "wal.incremental-cache" (fun seed ->
       let prng = Prng.create ~seed:(Int64.of_int seed) in
-      let wal = Wal.create () in
+      let wal = new_wal () in
       let written = ref [] in
       for _round = 1 to 20 do
         let batch = List.init (Prng.int prng 5) (fun _ -> random_record prng) in
