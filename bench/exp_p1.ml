@@ -353,10 +353,10 @@ let run () =
        macro_rows);
   (match List.find_opt (fun (e, _, _) -> e = "full") macro_rows with
   | Some (_, env, _) ->
-      let s = Runtime.stats (Session.runtime env) in
+      let c = Ode_util.Metrics.get (Runtime.metrics (Session.runtime env)) in
       Printf.printf
         "full-engine counters: posts=%d probes=%d index_skips=%d cache_hits=%d \
          cache_misses=%d cache_flushes=%d state_writes=%d\n"
-        s.Runtime.posts s.Runtime.index_probes s.Runtime.index_skips s.Runtime.cache_hits
-        s.Runtime.cache_misses s.Runtime.cache_flushes s.Runtime.state_writes
+        (c "posts") (c "index_probes") (c "index_skips") (c "cache_hits") (c "cache_misses")
+        (c "cache_flushes") (c "state_writes")
   | None -> ())

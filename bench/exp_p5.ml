@@ -84,7 +84,7 @@ let payload_len = 8
 let hot_frac = 0.9 (* fraction of updates aimed at the zipfian hot set *)
 
 let counter store name =
-  try List.assoc name (store.Store.counters ()) with Not_found -> 0
+  try Ode_util.Metrics.get store.Store.metrics name with Not_found -> 0
 
 (* Zipf-like rank pick over [0, n): log-uniform inverse transform gives
    ~1/rank density — rank 0 is overwhelmingly the hottest, matching the

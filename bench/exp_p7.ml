@@ -33,6 +33,7 @@ module Txn = Ode_storage.Txn
 module Mem_store = Ode_storage.Mem_store
 module Lock_manager = Ode_storage.Lock_manager
 module Prng = Ode_util.Prng
+module Metrics = Ode_util.Metrics
 module Table = Ode_util.Table
 
 let n_records = 1024
@@ -153,8 +154,9 @@ let run_config ~mode ~writers ~rounds ~warmup ~seed =
   restarts := 0;
   reader_ns := 0L;
   latencies := [];
-  Lock_manager.reset_stats (Txn.lock_mgr mgr);
-  let counter name = try List.assoc name (store.Store.counters ()) with Not_found -> 0 in
+  let locks = Lock_manager.metrics (Txn.lock_mgr mgr) in
+  Metrics.reset locks;
+  let counter name = Metrics.get store.Store.metrics name in
   let avoided0 = counter "mvcc.s_locks_avoided" in
   for _ = 1 to rounds do
     Array.iter turn actors
@@ -165,7 +167,6 @@ let run_config ~mode ~writers ~rounds ~warmup ~seed =
       | Some txn -> (try Txn.abort txn with _ -> ())
       | None -> ())
     actors;
-  let locks = Lock_manager.stats (Txn.lock_mgr mgr) in
   let p50, p95, p99 = Bench_common.percentiles !latencies in
   {
     r_mode = mode;
@@ -174,7 +175,7 @@ let run_config ~mode ~writers ~rounds ~warmup ~seed =
     r_reads_per_sec = float_of_int !reads /. (Int64.to_float !reader_ns /. 1e9);
     r_blocks = !blocks;
     r_restarts = !restarts;
-    r_s_granted = locks.Lock_manager.s_granted;
+    r_s_granted = Metrics.get locks "s_granted";
     r_s_avoided = counter "mvcc.s_locks_avoided" - avoided0;
     r_p50 = p50;
     r_p95 = p95;

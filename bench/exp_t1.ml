@@ -76,10 +76,8 @@ let run () =
       Table.add_row table [ name; Bench_common.ns_cell ns; Bench_common.ratio_cell baseline ns ])
     results;
   Table.print table;
-  let stats = Ode_trigger.Runtime.stats (Session.runtime env) in
+  let c = Ode_util.Metrics.get (Ode_trigger.Runtime.metrics (Session.runtime env)) in
   Printf.printf
     "runtime counters: posts=%d fsm_moves=%d mask_evals=%d state_writes=%d fires=%d\n"
-    stats.Ode_trigger.Runtime.posts stats.Ode_trigger.Runtime.fsm_moves
-    stats.Ode_trigger.Runtime.mask_evals stats.Ode_trigger.Runtime.state_writes
-    stats.Ode_trigger.Runtime.fires_immediate;
+    (c "posts") (c "fsm_moves") (c "mask_evals") (c "state_writes") (c "fires_immediate");
   Session.abort env txn

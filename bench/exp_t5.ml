@@ -49,11 +49,12 @@ let one_txn env obj =
   Session.with_txn env (fun txn -> ignore (Session.invoke env txn obj "Touch" []))
 
 let system_txns_per_fire env obj =
-  let before = (Txn.stats (Session.mgr env)).Txn.system_begun in
+  let system_begun () = Ode_util.Metrics.get (Txn.metrics (Session.mgr env)) "system" in
+  let before = system_begun () in
   for _ = 1 to 50 do
     one_txn env obj
   done;
-  let after = (Txn.stats (Session.mgr env)).Txn.system_begun in
+  let after = system_begun () in
   float_of_int (after - before) /. 50.0
 
 let run () =

@@ -63,8 +63,7 @@ let run_config ~nscripts ~with_triggers =
     { Workload.label = Printf.sprintf "reader-%d" i; steps }
   in
   let report = Workload.run (Session.mgr env) (List.init nscripts script) in
-  let locks = Lm.stats (Txn.lock_mgr (Session.mgr env)) in
-  (report, locks)
+  (report, Ode_util.Metrics.get (Lm.metrics (Txn.lock_mgr (Session.mgr env))))
 
 let run () =
   Bench_common.section "T6" "lock amplification: read-only workload, with and without triggers";
@@ -82,16 +81,16 @@ let run () =
           ("restarts", Table.Right);
         ]
   in
-  let add label nscripts (report, locks) =
+  let add label nscripts (report, lock) =
     Table.add_row table
       [
         label;
         string_of_int nscripts;
-        string_of_int locks.Lm.s_granted;
-        string_of_int locks.Lm.x_granted;
-        string_of_int locks.Lm.upgrades;
+        string_of_int (lock "s_granted");
+        string_of_int (lock "x_granted");
+        string_of_int (lock "upgrades");
         string_of_int report.Workload.block_events;
-        string_of_int locks.Lm.deadlocks;
+        string_of_int (lock "deadlocks");
         string_of_int report.Workload.deadlock_restarts;
       ]
   in

@@ -75,10 +75,9 @@ let card_labels = [ "card"; "card2" ]
    record, never complete it — it is the last record of its flush). *)
 
 let observe env refs =
-  let counters = Session.counters env in
-  let counter name = try List.assoc name counters with Not_found -> 0 in
-  let obj_w = counter "objects.wal_bytes" in
-  let trig_w = counter "triggers.wal_bytes" in
+  let obj_store, trig_store = Session.stores env in
+  let obj_w = Wal.durable_size obj_store.Store.wal in
+  let trig_w = Wal.durable_size trig_store.Store.wal in
   Session.with_txn env (fun txn ->
       let db = Session.database env in
       let render_obj = function

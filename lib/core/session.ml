@@ -8,6 +8,7 @@ module Wal = Ode_storage.Wal
 module Faults = Ode_storage.Faults
 module Commit_pipeline = Ode_storage.Commit_pipeline
 module Settings = Ode_storage.Settings
+module Metrics = Ode_util.Metrics
 module Oid = Ode_objstore.Oid
 module Value = Ode_objstore.Value
 module Objrec = Ode_objstore.Objrec
@@ -67,6 +68,7 @@ type t = {
   db : Database.t;
   rt : Runtime.t;
   intern : Intern.t;
+  metrics : Metrics.t;
   classes : (string, class_entry) Hashtbl.t;
   posting_plans : (string * string, int list * int list) Hashtbl.t;
       (* (dynamic class, method) -> before ids, after ids *)
@@ -174,6 +176,18 @@ let build ?faults ?intern settings wals =
     | Some _ -> Database.open_existing ~mgr ~store:obj_store ~name:"main"
   in
   let intern = match intern with Some i -> i | None -> Intern.create () in
+  let rt = Runtime.create ~config:settings.engine ~mgr ~intern ~store:trig_store () in
+  let metrics = Metrics.create () in
+  List.iter
+    (fun (prefix, child) -> Metrics.attach metrics ~prefix child)
+    [
+      ("objects", obj_store.Store.metrics);
+      ("triggers", trig_store.Store.metrics);
+      ("locks", Lock_manager.metrics (Txn.lock_mgr mgr));
+      ("txn", Txn.metrics mgr);
+      ("rt", Runtime.metrics rt);
+      ("intern", Intern.metrics intern);
+    ];
   {
     settings;
     faults;
@@ -181,8 +195,9 @@ let build ?faults ?intern settings wals =
     obj_store;
     trig_store;
     db;
-    rt = Runtime.create ~config:settings.engine ~mgr ~intern ~store:trig_store ();
+    rt;
     intern;
+    metrics;
     classes = Hashtbl.create 32;
     posting_plans = Hashtbl.create 64;
     validation = None;
@@ -1159,48 +1174,6 @@ let drain_phoenix t = Runtime.drain_phoenix t.rt
 (* ------------------------------------------------------------------ *)
 (* Counters. *)
 
-let counters t =
-  let prefix name pairs = List.map (fun (k, v) -> (name ^ "." ^ k, v)) pairs in
-  let locks = Lock_manager.stats (Txn.lock_mgr t.mgr) in
-  let rt = Runtime.stats t.rt in
-  let txns = Txn.stats t.mgr in
-  prefix "objects" (t.obj_store.Store.counters ())
-  @ prefix "triggers" (t.trig_store.Store.counters ())
-  @ [
-      ("locks.s_granted", locks.Lock_manager.s_granted);
-      ("locks.x_granted", locks.Lock_manager.x_granted);
-      ("locks.upgrades", locks.Lock_manager.upgrades);
-      ("locks.blocks", locks.Lock_manager.blocks);
-      ("locks.deadlocks", locks.Lock_manager.deadlocks);
-      ("txn.begun", txns.Txn.begun);
-      ("txn.committed", txns.Txn.committed);
-      ("txn.aborted", txns.Txn.aborted);
-      ("txn.system", txns.Txn.system_begun);
-      ("rt.posts", rt.Runtime.posts);
-      ("rt.index_probes", rt.Runtime.index_probes);
-      ("rt.index_skips", rt.Runtime.index_skips);
-      ("rt.fsm_moves", rt.Runtime.fsm_moves);
-      ("rt.mask_evals", rt.Runtime.mask_evals);
-      ("rt.state_writes", rt.Runtime.state_writes);
-      ("rt.cache_hits", rt.Runtime.cache_hits);
-      ("rt.cache_misses", rt.Runtime.cache_misses);
-      ("rt.cache_flushes", rt.Runtime.cache_flushes);
-      ("rt.fires_immediate", rt.Runtime.fires_immediate);
-      ("rt.fires_end", rt.Runtime.fires_end);
-      ("rt.fires_dependent", rt.Runtime.fires_dependent);
-      ("rt.fires_independent", rt.Runtime.fires_independent);
-      ("rt.fires_phoenix", rt.Runtime.fires_phoenix);
-      ("rt.activations", rt.Runtime.activations);
-      ("rt.deactivations", rt.Runtime.deactivations);
-      ("rt.local_activations", rt.Runtime.local_activations);
-      ("rt.snapshot_reads", rt.Runtime.snapshot_reads);
-      ("rt.s_locks_avoided", rt.Runtime.s_locks_avoided);
-      ("rt.write_conflicts", rt.Runtime.write_conflicts);
-      ("intern.events", Ode_event.Intern.count t.intern);
-      ("intern.lookups", Ode_event.Intern.lookups t.intern);
-    ]
-
-let reset_counters t =
-  Lock_manager.reset_stats (Txn.lock_mgr t.mgr);
-  Runtime.reset_stats t.rt;
-  Txn.reset_stats t.mgr
+let metrics t = t.metrics
+let counters t = Metrics.values t.metrics
+let reset_counters t = Metrics.reset t.metrics

@@ -495,8 +495,17 @@ val runtime : t -> Ode_trigger.Runtime.t
 val database : t -> Ode_objstore.Database.t
 val mgr : t -> Txn.mgr
 val intern : t -> Ode_event.Intern.t
+val metrics : t -> Ode_util.Metrics.t
+(** The session's registry: each part's registry attached under a prefix
+    — [objects.*] and [triggers.*] (the two stores), [locks.*], [txn.*],
+    [rt.*] (the trigger runtime) and [intern.*]. *)
+
 val counters : t -> (string * int) list
-(** Merged counters: object store, trigger store, lock manager, trigger
-    runtime. *)
+(** Every value of {!metrics}, sorted by key. Counters count since the
+    session was built or last {!reset_counters}; gauges and peaks read
+    current state. *)
 
 val reset_counters : t -> unit
+(** Zero every counter of {!metrics}. Gauges and peaks are left alone:
+    [objects.wal_bytes], [objects.mvcc.chains] and
+    [objects.max_batch_size] read the same before and after. *)

@@ -1,3 +1,5 @@
+module Metrics = Ode_util.Metrics
+
 type basic =
   | Before of string
   | After of string
@@ -45,13 +47,21 @@ type t = {
   forward : (key, int) Hashtbl.t;
   reverse : (int, key) Hashtbl.t;
   mutable next : int;
-  mutable lookups : int;
+  metrics : Metrics.t;
+  lookups : Metrics.counter;
 }
 
-let create () = { forward = Hashtbl.create 64; reverse = Hashtbl.create 64; next = 0; lookups = 0 }
+let create () =
+  let m = Metrics.create () in
+  let t =
+    { forward = Hashtbl.create 64; reverse = Hashtbl.create 64; next = 0; metrics = m;
+      lookups = Metrics.counter m "lookups" }
+  in
+  Metrics.gauge m "events" (fun () -> t.next);
+  t
 
 let id t ~cls basic =
-  t.lookups <- t.lookups + 1;
+  Metrics.incr t.lookups;
   let key = (cls, basic) in
   match Hashtbl.find_opt t.forward key with
   | Some id -> id
@@ -63,7 +73,7 @@ let id t ~cls basic =
       id
 
 let find t ~cls basic =
-  t.lookups <- t.lookups + 1;
+  Metrics.incr t.lookups;
   Hashtbl.find_opt t.forward (cls, basic)
 
 let describe t id = Hashtbl.find_opt t.reverse id
@@ -75,7 +85,7 @@ let name_of_id t id =
 
 let count t = t.next
 
-let lookups t = t.lookups
+let metrics t = t.metrics
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic snapshots (Ode_parallel): shard 0 defines the schema,

@@ -39,8 +39,9 @@ val name_of_id : t -> int -> string
 val count : t -> int
 (** Number of distinct events interned. *)
 
-val lookups : t -> int
-(** Total [id]/[find] calls — posting-cost accounting for T2. *)
+val metrics : t -> Ode_util.Metrics.t
+(** Counter [lookups] (total [id]/[find] calls: posting-cost accounting
+    for T2); gauge [events] ({!count}). *)
 
 type snapshot = ((string * basic) * int) list
 (** A full id assignment, sorted by id — the {!Ode_parallel} shard

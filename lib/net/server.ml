@@ -6,6 +6,7 @@ module Txn = Ode_storage.Txn
 module Rid = Ode_storage.Rid
 module Oid = Ode_objstore.Oid
 module P = Proto
+module Metrics = Ode_util.Metrics
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -134,16 +135,17 @@ type t = {
   mutable joined : bool;
   mutable domain : unit Domain.t option;
   (* counters (reactor-written, racily readable): *)
-  mutable n_accepted : int;
-  mutable n_closed : int;
-  mutable n_frames_in : int;
-  mutable n_frame_errors : int;
-  mutable n_replies : int;
-  mutable n_flushes : int;
-  mutable n_batched : int;
-  mutable n_dispatched : int;
-  mutable n_defines : int;
-  mutable n_hello_rejects : int;
+  metrics : Metrics.t;
+  n_accepted : Metrics.counter;
+  n_closed : Metrics.counter;
+  n_frames_in : Metrics.counter;
+  n_frame_errors : Metrics.counter;
+  n_replies : Metrics.counter;
+  n_flushes : Metrics.counter;
+  n_batched : Metrics.counter;
+  n_dispatched : Metrics.counter;
+  n_defines : Metrics.counter;
+  n_hello_rejects : Metrics.counter;
 }
 
 (* ---------------- reply plumbing (any domain) ---------------- *)
@@ -294,7 +296,7 @@ let fan_out t ~(each : int -> Session.t -> unit) ~(finish : unit -> unit) =
 
 let run_define t (j : define_job) =
   t.define_busy <- true;
-  t.n_defines <- t.n_defines + 1;
+  Metrics.incr t.n_defines;
   t.inflight <- t.inflight + t.k;
   let mu = Mutex.create () in
   let names = ref [] in
@@ -318,41 +320,20 @@ let run_define t (j : define_job) =
       enqueue_reply j.dj_conn ~sync:j.dj_sync reply;
       complete t (D_define { dconn = j.dj_conn; dstream = j.dj_stream }))
 
-let server_counters t =
-  [
-    ("net.accepted", t.n_accepted);
-    ("net.closed", t.n_closed);
-    ("net.conns", List.length t.conns);
-    ("net.frames_in", t.n_frames_in);
-    ("net.frame_errors", t.n_frame_errors);
-    ("net.replies", t.n_replies);
-    ("net.flushes", t.n_flushes);
-    ("net.batched_frames", t.n_batched);
-    ("net.dispatched", t.n_dispatched);
-    ("net.defines", t.n_defines);
-    ("net.hello_rejects", t.n_hello_rejects);
-    ("net.shards", t.k);
-  ]
-
+(* The fleet's registries merged with the server's own [net.*] values;
+   each shard snapshots its session on its own domain. *)
 let run_stats t conn ~sync ~stream ~txn_before =
   t.inflight <- t.inflight + t.k;
   let mu = Mutex.create () in
-  let acc : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let snapshots = ref [ Metrics.snapshot t.metrics ] in
   fan_out t
     ~each:(fun _shard session ->
-      let cs = Session.counters session in
+      let snapshot = Metrics.snapshot (Session.metrics session) in
       Mutex.lock mu;
-      List.iter
-        (fun (k, v) ->
-          Hashtbl.replace acc k (v + Option.value (Hashtbl.find_opt acc k) ~default:0))
-        cs;
+      snapshots := snapshot :: !snapshots;
       Mutex.unlock mu)
     ~finish:(fun () ->
-      let fleet = Hashtbl.fold (fun k v l -> (k, v) :: l) acc [] in
-      let all =
-        List.sort (fun (a, _) (b, _) -> compare a b) (server_counters t @ fleet)
-      in
-      enqueue_reply conn ~sync (P.Done (P.P_stats all));
+      enqueue_reply conn ~sync (P.Done (P.P_stats (Metrics.merge !snapshots)));
       complete t (D_op { dconn = conn; dstream = stream; dtxn = txn_before }))
 
 (* ---------------- reactor: dispatch ---------------- *)
@@ -397,7 +378,7 @@ let try_dispatch t conn ~sync ~stream (st : stream option) req =
     `Replied
   in
   let dispatch ~shard ~txn_before =
-    t.n_dispatched <- t.n_dispatched + 1;
+    Metrics.incr t.n_dispatched;
     t.inflight <- t.inflight + 1;
     conn.c_inflight <- conn.c_inflight + 1;
     let slot = match st with Some s -> s.st_slot | None -> throwaway_slot () in
@@ -480,12 +461,12 @@ let rec pump_stream t conn st =
 let draining t = match t.state with Draining _ -> true | Running -> false
 
 let handle_frame t conn body =
-  t.n_frames_in <- t.n_frames_in + 1;
+  Metrics.incr t.n_frames_in;
   match P.decode_request body with
   | exception P.Frame_error msg ->
       (* The length prefix was sound, so the byte stream is still in sync:
          answer the bad frame and keep the connection. *)
-      t.n_frame_errors <- t.n_frame_errors + 1;
+      Metrics.incr t.n_frame_errors;
       let sync = Option.value (P.request_sync body) ~default:0 in
       enqueue_reply conn ~sync (fail_ P.E_malformed msg)
   | { rq_sync = sync; rq_stream = stream; rq_req = req } ->
@@ -493,12 +474,12 @@ let handle_frame t conn body =
         match req with
         | P.Hello { magic; version } ->
             if magic <> P.magic then begin
-              t.n_hello_rejects <- t.n_hello_rejects + 1;
+              Metrics.incr t.n_hello_rejects;
               enqueue_reply conn ~sync (fail_ P.E_malformed "bad magic");
               conn.c_closing <- true
             end
             else if version <> P.version then begin
-              t.n_hello_rejects <- t.n_hello_rejects + 1;
+              Metrics.incr t.n_hello_rejects;
               enqueue_reply conn ~sync
                 (fail_ P.E_version
                    (Printf.sprintf "server speaks protocol version %d, client sent %d"
@@ -510,7 +491,7 @@ let handle_frame t conn body =
               enqueue_reply conn ~sync (P.Done (P.P_pong { version = P.version }))
             end
         | _ ->
-            t.n_hello_rejects <- t.n_hello_rejects + 1;
+            Metrics.incr t.n_hello_rejects;
             enqueue_reply conn ~sync (fail_ P.E_bad_request "hello required first");
             conn.c_closing <- true)
       else if stream = 0 then ignore (try_dispatch t conn ~sync ~stream None req)
@@ -541,7 +522,7 @@ let close_conn t conn =
     conn.c_out_frames <- 0;
     Mutex.unlock conn.c_mu;
     (try Unix.close conn.c_fd with _ -> ());
-    t.n_closed <- t.n_closed + 1;
+    Metrics.incr t.n_closed;
     t.conns <- List.filter (fun c -> c != conn) t.conns;
     drop_queued t conn;
     (* Idle streams with an open transaction roll back now; busy ones roll
@@ -614,9 +595,9 @@ let flush_conn t conn =
       if len > 0 then begin
         (* One coalesced write per wakeup: every reply that accumulated
            since the last flush ships in a single syscall. *)
-        t.n_flushes <- t.n_flushes + 1;
-        t.n_replies <- t.n_replies + frames;
-        if frames > 1 then t.n_batched <- t.n_batched + frames - 1;
+        Metrics.incr t.n_flushes;
+        Metrics.add t.n_replies frames;
+        if frames > 1 then Metrics.add t.n_batched (frames - 1);
         match Unix.write conn.c_fd data 0 len with
         | n -> if n < len then conn.c_wpend <- Some (data, n)
         | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
@@ -645,7 +626,7 @@ let handle_read t conn =
         drain ()
       with P.Frame_error _ ->
         (* Bad length prefix: the byte stream is unrecoverable. *)
-        t.n_frame_errors <- t.n_frame_errors + 1;
+        Metrics.incr t.n_frame_errors;
         close_conn t conn)
 
 let accept_conn t lfd =
@@ -656,7 +637,7 @@ let accept_conn t lfd =
       (match peer with
       | Unix.ADDR_INET _ -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ())
       | Unix.ADDR_UNIX _ -> ());
-      t.n_accepted <- t.n_accepted + 1;
+      Metrics.incr t.n_accepted;
       t.next_conn <- t.next_conn + 1;
       let conn =
         {
@@ -891,6 +872,7 @@ let start ?(bindings = Opp.no_bindings) ?(max_frame = P.default_max_frame)
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
+  let m = Metrics.create () in
   let t =
     {
       fleet;
@@ -924,18 +906,21 @@ let start ?(bindings = Opp.no_bindings) ?(max_frame = P.default_max_frame)
       result = None;
       joined = false;
       domain = None;
-      n_accepted = 0;
-      n_closed = 0;
-      n_frames_in = 0;
-      n_frame_errors = 0;
-      n_replies = 0;
-      n_flushes = 0;
-      n_batched = 0;
-      n_dispatched = 0;
-      n_defines = 0;
-      n_hello_rejects = 0;
+      metrics = m;
+      n_accepted = Metrics.counter m "net.accepted";
+      n_closed = Metrics.counter m "net.closed";
+      n_frames_in = Metrics.counter m "net.frames_in";
+      n_frame_errors = Metrics.counter m "net.frame_errors";
+      n_replies = Metrics.counter m "net.replies";
+      n_flushes = Metrics.counter m "net.flushes";
+      n_batched = Metrics.counter m "net.batched_frames";
+      n_dispatched = Metrics.counter m "net.dispatched";
+      n_defines = Metrics.counter m "net.defines";
+      n_hello_rejects = Metrics.counter m "net.hello_rejects";
     }
   in
+  Metrics.gauge m "net.conns" (fun () -> List.length t.conns);
+  Metrics.gauge m "net.shards" (fun () -> t.k);
   t.domain <- Some (Domain.spawn (fun () -> reactor_main t));
   t
 
@@ -958,4 +943,4 @@ let stop ?deadline t =
   wake t;
   wait t
 
-let counters = server_counters
+let counters t = Metrics.values t.metrics

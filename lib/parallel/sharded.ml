@@ -583,23 +583,10 @@ let stats t =
     fs_mailbox_hwm = List.fold_left (fun a s -> max a s.ss_mailbox_hwm) 0 per;
   }
 
-(* Merged session counters, summed across shards (same keys as
-   [Session.counters]). *)
 let counters t =
-  let acc = Hashtbl.create 64 in
-  let order = ref [] in
-  Array.iter
-    (fun sh ->
-      List.iter
-        (fun (key, v) ->
-          match Hashtbl.find_opt acc key with
-          | Some prev -> Hashtbl.replace acc key (prev + v)
-          | None ->
-              order := key :: !order;
-              Hashtbl.replace acc key v)
-        (Session.counters sh.sh_session))
-    t.shards;
-  List.rev_map (fun key -> (key, Hashtbl.find acc key)) !order
+  let module Metrics = Ode_util.Metrics in
+  Metrics.merge
+    (Array.to_list t.shards |> List.map (fun sh -> Metrics.snapshot (Session.metrics sh.sh_session)))
 
 (* Per-task wall-clock latencies in seconds, all shards merged, oldest
    first. Deterministic mode measures from round dispatch, Free mode from

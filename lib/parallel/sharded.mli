@@ -208,7 +208,9 @@ type fleet_stats = {
 val stats : t -> fleet_stats
 
 val counters : t -> (string * int) list
-(** {!Session.counters} summed across shards (same keys). *)
+(** {!Session.counters} merged across shards (same keys) by
+    {!Ode_util.Metrics.merge}: counters and gauges summed, peaks such as
+    [objects.max_batch_size] maxed, [objects.avg_batch_size] recomputed. *)
 
 val latencies : t -> float list
 (** Per-task wall-clock latency in seconds (queueing included), all

@@ -17,6 +17,7 @@ module Recovery = Ode_storage.Recovery
 module Commit_pipeline = Ode_storage.Commit_pipeline
 module Store = Ode_storage.Store
 module Binc = Ode_util.Binc
+module Metrics = Ode_util.Metrics
 module Session = Ode.Session
 
 exception Primary_down of { ship_point : int }
@@ -202,8 +203,9 @@ type t = {
   primary : Session.t;
   replicas : replica array;
   quorum_n : int;
-  mutable ship_batches : int;
-  mutable ship_bytes : int;
+  metrics : Metrics.t;
+  ship_batches : Metrics.counter;
+  ship_bytes : Metrics.counter;
   mutable ship_points : int;
   mutable crash_at_ship : int option;
   mutable failover_count : int;
@@ -251,8 +253,8 @@ let ship_stream t r stream wal sent set_sent =
       }
     in
     set_sent durable;
-    t.ship_batches <- t.ship_batches + 1;
-    t.ship_bytes <- t.ship_bytes + Bytes.length chunk.ck_bytes;
+    Metrics.incr t.ship_batches;
+    Metrics.add t.ship_bytes (Bytes.length chunk.ck_bytes);
     Link.send r.rp_link chunk
   end
 
@@ -267,6 +269,38 @@ let on_flush t () =
           r.rp_sent_trig <- v))
     t.replicas;
   publish_progress t
+
+(* Everything but the ship counters is state read at snapshot time. *)
+let register_gauges t =
+  let m = t.metrics in
+  let over_replicas f init () = Array.fold_left f init t.replicas in
+  Metrics.gauge m "replicas" (fun () -> Array.length t.replicas);
+  Metrics.gauge m "quorum_n" (fun () -> t.quorum_n);
+  Metrics.gauge m "ship_points" (fun () -> t.ship_points);
+  Metrics.gauge m "failover_count" (fun () -> t.failover_count);
+  Metrics.gauge m "redundant_feeds"
+    (over_replicas (fun acc r -> acc + Replay.redundant r.rp_obj + Replay.redundant r.rp_trig) 0);
+  Metrics.gauge m "replica_acked_offset" (fun () ->
+      let floor =
+        over_replicas (fun acc r -> min acc (Replay.size r.rp_obj + Replay.size r.rp_trig)) max_int ()
+      in
+      if floor = max_int then 0 else floor);
+  List.iter
+    (fun key ->
+      Metrics.gauge m key (fun () ->
+          let obj_store, trig_store = Session.stores t.primary in
+          let get (store : Store.t) = Metrics.get (Commit_pipeline.metrics store.pipeline) key in
+          get obj_store + get trig_store))
+    [ "quorum_waits"; "quorum_commits"; "quorum_pending" ];
+  Array.iter
+    (fun r ->
+      List.iter
+        (fun stream ->
+          Metrics.gauge m
+            (Printf.sprintf "replica%d.%s_offset" r.rp_id (stream_to_string stream))
+            (fun () -> Replay.size (replay_of r stream)))
+        [ `Objects; `Triggers ])
+    t.replicas
 
 let attach ?(replicas = 2) ?(failover_count = 0) primary =
   if replicas < 1 then invalid_arg "Replication.attach: need >= 1 replica";
@@ -285,19 +319,22 @@ let attach ?(replicas = 2) ?(failover_count = 0) primary =
       rp_sent_trig = 0;
     }
   in
+  let m = Metrics.create () in
   let t =
     {
       primary;
       replicas = Array.init replicas mk;
       quorum_n = quorum_of_mode (Session.settings primary).storage.durability;
-      ship_batches = 0;
-      ship_bytes = 0;
+      metrics = m;
+      ship_batches = Metrics.counter m "ship_batches";
+      ship_bytes = Metrics.counter m "ship_bytes";
       ship_points = 0;
       crash_at_ship = None;
       failover_count;
       dead = false;
     }
   in
+  register_gauges t;
   let obj_store, trig_store = Session.stores primary in
   Commit_pipeline.attach_shipper obj_store.Store.pipeline (fun () -> on_flush t ());
   Commit_pipeline.attach_shipper trig_store.Store.pipeline (fun () -> on_flush t ());
@@ -379,46 +416,4 @@ let promote ?durability ~schema t replica =
   t.failover_count <- t.failover_count + 1;
   { pm_session = session; pm_replica = replica; pm_report = Session.report_of_image image }
 
-let counters t =
-  let floor_off =
-    Array.fold_left
-      (fun acc r -> min acc (Replay.size r.rp_obj + Replay.size r.rp_trig))
-      max_int t.replicas
-  in
-  let redundant =
-    Array.fold_left
-      (fun acc r -> acc + Replay.redundant r.rp_obj + Replay.redundant r.rp_trig)
-      0 t.replicas
-  in
-  let quorum c =
-    let obj_store, trig_store = Session.stores t.primary in
-    let find store =
-      match List.assoc_opt c (Commit_pipeline.counters store.Store.pipeline) with
-      | Some v -> v
-      | None -> 0
-    in
-    find obj_store + find trig_store
-  in
-  [
-    ("replicas", Array.length t.replicas);
-    ("quorum_n", t.quorum_n);
-    ("ship_batches", t.ship_batches);
-    ("ship_bytes", t.ship_bytes);
-    ("ship_points", t.ship_points);
-    ("redundant_feeds", redundant);
-    ("failover_count", t.failover_count);
-    ("replica_acked_offset", (if floor_off = max_int then 0 else floor_off));
-    ("quorum_waits", quorum "quorum_waits");
-    ("quorum_commits", quorum "quorum_commits");
-    ("quorum_pending", quorum "quorum_pending");
-  ]
-  @ (Array.to_list t.replicas
-    |> List.concat_map (fun r ->
-           [
-             ( Printf.sprintf "replica%d.%s_offset" r.rp_id
-                 (stream_to_string `Objects),
-               Replay.size r.rp_obj );
-             ( Printf.sprintf "replica%d.%s_offset" r.rp_id
-                 (stream_to_string `Triggers),
-               Replay.size r.rp_trig );
-           ]))
+let counters t = Metrics.values t.metrics

@@ -1,9 +1,4 @@
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable writebacks : int;
-}
+module Metrics = Ode_util.Metrics
 
 (* Frames form an intrusive doubly-linked recency list: [prev] points
    toward the MRU head, [next] toward the LRU tail. Victim selection is
@@ -24,12 +19,17 @@ type t = {
   frames : (int, frame) Hashtbl.t;
   mutable head : frame option;  (* most recently used *)
   mutable tail : frame option;  (* least recently used: the victim *)
-  stats : stats;
+  metrics : Metrics.t;
+  hits : Metrics.counter;
+  misses : Metrics.counter;
+  evictions : Metrics.counter;
+  writebacks : Metrics.counter;
 }
 
 let create ?faults pager ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity must be positive";
   let faults = match faults with Some f -> f | None -> Faults.create () in
+  let m = Metrics.create () in
   {
     pager;
     capacity;
@@ -37,8 +37,14 @@ let create ?faults pager ~capacity =
     frames = Hashtbl.create 64;
     head = None;
     tail = None;
-    stats = { hits = 0; misses = 0; evictions = 0; writebacks = 0 };
+    metrics = m;
+    hits = Metrics.counter m "pool_hits";
+    misses = Metrics.counter m "pool_misses";
+    evictions = Metrics.counter m "pool_evictions";
+    writebacks = Metrics.counter m "pool_writebacks";
   }
+
+let metrics t = t.metrics
 
 let unlink t frame =
   (match frame.prev with Some p -> p.next <- frame.next | None -> t.head <- frame.next);
@@ -63,7 +69,7 @@ let writeback t frame =
   if frame.dirty then begin
     Pager.write t.pager frame.id frame.page;
     frame.dirty <- false;
-    t.stats.writebacks <- t.stats.writebacks + 1
+    Metrics.incr t.writebacks
   end
 
 let evict_lru t =
@@ -76,16 +82,16 @@ let evict_lru t =
       writeback t frame;
       unlink t frame;
       Hashtbl.remove t.frames frame.id;
-      t.stats.evictions <- t.stats.evictions + 1
+      Metrics.incr t.evictions
 
 let with_page t id ~dirty f =
   let frame =
     match Hashtbl.find_opt t.frames id with
     | Some frame ->
-        t.stats.hits <- t.stats.hits + 1;
+        Metrics.incr t.hits;
         frame
     | None ->
-        t.stats.misses <- t.stats.misses + 1;
+        Metrics.incr t.misses;
         if Hashtbl.length t.frames >= t.capacity then evict_lru t;
         let frame = { id; page = Pager.read t.pager id; dirty = false; prev = None; next = None } in
         Hashtbl.replace t.frames id frame;
@@ -111,11 +117,3 @@ let drop_all t =
   Hashtbl.reset t.frames;
   t.head <- None;
   t.tail <- None
-
-let stats t = t.stats
-
-let reset_stats t =
-  t.stats.hits <- 0;
-  t.stats.misses <- 0;
-  t.stats.evictions <- 0;
-  t.stats.writebacks <- 0

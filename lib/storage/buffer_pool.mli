@@ -6,13 +6,6 @@
 
 type t
 
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable writebacks : int;
-}
-
 val create : ?faults:Faults.t -> Pager.t -> capacity:int -> t
 (** [capacity] is the number of frames; must be positive. [faults] is the
     fault-injection plane consulted before each eviction (the dirty
@@ -30,5 +23,6 @@ val flush_all : t -> unit
 val drop_all : t -> unit
 (** Discard every frame without writeback — the crash primitive. *)
 
-val stats : t -> stats
-val reset_stats : t -> unit
+val metrics : t -> Ode_util.Metrics.t
+(** Counters [pool_hits], [pool_misses], [pool_evictions],
+    [pool_writebacks]. *)

@@ -1,3 +1,5 @@
+module Metrics = Ode_util.Metrics
+
 type mode =
   | Immediate
   | Group of { max_batch : int; max_delay_ticks : int }
@@ -17,13 +19,14 @@ type t = {
   mutable quorum_pending : (Txn.t * int * int) list;
   mutable quorum_offset : int;  (* highest offset durable on >= n replicas *)
   mutable post_flush : (unit -> unit) option;  (* replication shipper hook *)
-  mutable batched_commits : int;
-  mutable batch_flushes : int;
-  mutable flushed_commits : int;
+  metrics : Metrics.t;
+  batched_commits : Metrics.counter;
+  batch_flushes : Metrics.counter;
+  flushed_commits : Metrics.counter;
   mutable max_batch_size : int;
-  mutable ack_lag_ticks : int;
-  mutable quorum_waits : int;
-  mutable quorum_commits : int;
+  ack_lag_ticks : Metrics.counter;
+  quorum_waits : Metrics.counter;
+  quorum_commits : Metrics.counter;
   (* Auto-checkpoint policy: once the WAL has grown [auto_checkpoint_bytes]
      past the last checkpoint, [auto_checkpoint_due] turns true. The
      pipeline only *signals* — the owner (Session) takes the checkpoint
@@ -32,30 +35,43 @@ type t = {
      still live. 0 disables the policy. *)
   auto_checkpoint_bytes : int;
   mutable last_ckpt_size : int;
-  mutable auto_ckpts : int;
+  auto_ckpts : Metrics.counter;
 }
 
+let pending t = List.length t.queued + List.length t.awaiting + List.length t.quorum_pending
+
 let create ~mode ~auto_checkpoint_bytes wal =
-  {
-    wal;
-    mode;
-    tick = 0;
-    queued = [];
-    awaiting = [];
-    quorum_pending = [];
-    quorum_offset = 0;
-    post_flush = None;
-    batched_commits = 0;
-    batch_flushes = 0;
-    flushed_commits = 0;
-    max_batch_size = 0;
-    ack_lag_ticks = 0;
-    quorum_waits = 0;
-    quorum_commits = 0;
-    auto_checkpoint_bytes;
-    last_ckpt_size = 0;
-    auto_ckpts = 0;
-  }
+  let m = Metrics.create () in
+  let t =
+    {
+      wal;
+      mode;
+      tick = 0;
+      queued = [];
+      awaiting = [];
+      quorum_pending = [];
+      quorum_offset = 0;
+      post_flush = None;
+      metrics = m;
+      batched_commits = Metrics.counter m "batched_commits";
+      batch_flushes = Metrics.counter m "batch_flushes";
+      flushed_commits = Metrics.counter m "flushed_commits";
+      max_batch_size = 0;
+      ack_lag_ticks = Metrics.counter m "ack_lag_ticks";
+      quorum_waits = Metrics.counter m "quorum_waits";
+      quorum_commits = Metrics.counter m "quorum_commits";
+      auto_checkpoint_bytes;
+      last_ckpt_size = 0;
+      auto_ckpts = Metrics.counter m "auto_ckpts";
+    }
+  in
+  Metrics.mean m "avg_batch_size" ~sum:"flushed_commits" ~count:"batch_flushes";
+  Metrics.peak m "max_batch_size" (fun () -> t.max_batch_size);
+  Metrics.gauge m "pending_acks" (fun () -> pending t);
+  Metrics.gauge m "quorum_pending" (fun () -> List.length t.quorum_pending);
+  t
+
+let metrics t = t.metrics
 
 let mode t = t.mode
 
@@ -65,10 +81,8 @@ let auto_checkpoint_due t =
 (* Called by the store at the end of every checkpoint (manual or
    policy-driven): rearms the growth trigger. *)
 let note_checkpoint t =
-  if auto_checkpoint_due t then t.auto_ckpts <- t.auto_ckpts + 1;
+  if auto_checkpoint_due t then Metrics.incr t.auto_ckpts;
   t.last_ckpt_size <- Wal.durable_size t.wal
-
-let pending t = List.length t.queued + List.length t.awaiting + List.length t.quorum_pending
 
 (* Append the queued batch's single Commit_group marker. One record per
    batch keeps torn-flush semantics all-or-nothing: the decoder only keeps
@@ -83,7 +97,7 @@ let materialize t =
       t.queued <- []
 
 let release_ack t (txn, enqueued_at) =
-  t.ack_lag_ticks <- t.ack_lag_ticks + (t.tick - enqueued_at);
+  Metrics.add t.ack_lag_ticks (t.tick - enqueued_at);
   Txn.resolve_ack txn
 
 (* Release quorum-pending acks whose required offset the fleet has
@@ -93,7 +107,7 @@ let release_quorum t =
   let rec go = function
     | (txn, enqueued_at, req) :: rest when req <= t.quorum_offset ->
         release_ack t (txn, enqueued_at);
-        t.quorum_commits <- t.quorum_commits + 1;
+        Metrics.incr t.quorum_commits;
         go rest
     | rest -> rest
   in
@@ -115,8 +129,8 @@ let resolve_awaiting t =
   | [] -> ()
   | acked ->
       let n = List.length acked in
-      t.batch_flushes <- t.batch_flushes + 1;
-      t.flushed_commits <- t.flushed_commits + n;
+      Metrics.incr t.batch_flushes;
+      Metrics.add t.flushed_commits n;
       if n > t.max_batch_size then t.max_batch_size <- n;
       (match (t.mode, t.post_flush) with
       | Quorum _, Some _ ->
@@ -133,7 +147,7 @@ let flush t =
   resolve_awaiting t;
   (match t.post_flush with None -> () | Some hook -> hook ());
   release_quorum t;
-  if t.quorum_pending <> [] then t.quorum_waits <- t.quorum_waits + 1
+  if t.quorum_pending <> [] then Metrics.incr t.quorum_waits
 
 (* A transient flush failure must not unwind the commit: another
    participant may already have made its part durable. The batch stays
@@ -167,33 +181,14 @@ let on_commit t (txn : Txn.t) =
       t.awaiting <- (txn, t.tick) :: t.awaiting;
       attempt_flush t
   | Group { max_batch; max_delay_ticks } | Quorum { max_batch; max_delay_ticks; _ } ->
-      t.batched_commits <- t.batched_commits + 1;
+      Metrics.incr t.batched_commits;
       t.queued <- (txn, t.tick) :: t.queued;
       if List.length t.queued >= max_batch || deadline_due t max_delay_ticks then
         attempt_flush t
   | Async { max_lag } ->
-      t.batched_commits <- t.batched_commits + 1;
+      Metrics.incr t.batched_commits;
       t.queued <- (txn, t.tick) :: t.queued;
       if pending t > max_lag then attempt_flush t
-
-let counters t =
-  let avg =
-    if t.batch_flushes = 0 then 0
-    else (t.flushed_commits + (t.batch_flushes / 2)) / t.batch_flushes
-  in
-  [
-    ("batched_commits", t.batched_commits);
-    ("batch_flushes", t.batch_flushes);
-    ("flushed_commits", t.flushed_commits);
-    ("avg_batch_size", avg);
-    ("max_batch_size", t.max_batch_size);
-    ("ack_lag_ticks", t.ack_lag_ticks);
-    ("pending_acks", pending t);
-    ("quorum_waits", t.quorum_waits);
-    ("quorum_commits", t.quorum_commits);
-    ("quorum_pending", List.length t.quorum_pending);
-    ("auto_ckpts", t.auto_ckpts);
-  ]
 
 (* ---- mode syntax (odectl / bench) ---- *)
 

@@ -122,15 +122,16 @@ val note_quorum_offset : t -> int -> unit
     parked [Quorum] ack whose batch offset is covered, oldest first —
     ack release order is the commit order. *)
 
-val counters : t -> (string * int) list
-(** [batched_commits] (commits whose ack was deferred past [on_commit]),
-    [batch_flushes] (WAL forces that resolved at least one ack),
-    [flushed_commits], [avg_batch_size] (rounded), [max_batch_size],
-    [ack_lag_ticks] (summed resolve−enqueue tick lag), [pending_acks],
-    [quorum_waits] (flushes that left at least one ack parked on remote
-    durability), [quorum_commits] (acks released by quorum confirmation),
-    [quorum_pending] (currently parked), [auto_ckpts] (checkpoints taken
-    with the growth trigger armed). *)
+val metrics : t -> Ode_util.Metrics.t
+(** Counters [batched_commits] (commits whose ack was deferred past
+    [on_commit]), [batch_flushes] (WAL forces that resolved at least one
+    ack), [flushed_commits], [ack_lag_ticks] (summed resolve−enqueue tick
+    lag), [quorum_waits] (flushes that left at least one ack parked on
+    remote durability), [quorum_commits] (acks released by quorum
+    confirmation), [auto_ckpts] (checkpoints taken with the growth
+    trigger armed); mean [avg_batch_size] ([flushed_commits] over
+    [batch_flushes], rounded); peak [max_batch_size]; gauges
+    [pending_acks] and [quorum_pending] (currently parked). *)
 
 val mode_of_string : string -> (mode, string) result
 (** ["immediate"], ["group"], ["group:B"], ["group:B:D"] (batch size [B],

@@ -1,4 +1,5 @@
 module Binc = Ode_util.Binc
+module Metrics = Ode_util.Metrics
 
 let fail = Record_store.fail
 
@@ -30,27 +31,38 @@ module Phys = struct
     mutable active_page : int option;  (* current fill target *)
     roomy_pages : (int, unit) Hashtbl.t;  (* pages with reclaimed space *)
     mutable bloom : Bloom.t;  (* membership filter in front of [dir] *)
-    mutable relocations : int;
-    mutable bloom_negatives : int;  (* lookups answered "absent" without lock or page *)
-    mutable bloom_fp : int;  (* bloom said maybe, directory said no *)
     mutable bloom_stale : int;  (* deleted rids still hashed into the filter *)
-    mutable bloom_incr_rebuilds : int;  (* full anchors served by an O(dirty) patch *)
+    metrics : Metrics.t;
+    relocations : Metrics.counter;
+    bloom_negatives : Metrics.counter;  (* lookups answered "absent" without lock or page *)
+    bloom_fp : Metrics.counter;  (* bloom said maybe, directory said no *)
+    bloom_incr_rebuilds : Metrics.counter;  (* full anchors served by an O(dirty) patch *)
   }
 
   let create pager pool =
-    {
-      pager;
-      pool;
-      dir = Rid.Tbl.create 256;
-      active_page = None;
-      roomy_pages = Hashtbl.create 16;
-      bloom = new_bloom ~expected:0;
-      relocations = 0;
-      bloom_negatives = 0;
-      bloom_fp = 0;
-      bloom_stale = 0;
-      bloom_incr_rebuilds = 0;
-    }
+    let m = Metrics.create () in
+    let t =
+      {
+        pager;
+        pool;
+        dir = Rid.Tbl.create 256;
+        active_page = None;
+        roomy_pages = Hashtbl.create 16;
+        bloom = new_bloom ~expected:0;
+        bloom_stale = 0;
+        metrics = m;
+        relocations = Metrics.counter m "relocations";
+        bloom_negatives = Metrics.counter m "bloom_negatives";
+        bloom_fp = Metrics.counter m "bloom_fp";
+        bloom_incr_rebuilds = Metrics.counter m "bloom_incremental_rebuilds";
+      }
+    in
+    Metrics.attach m (Pager.metrics pager);
+    Metrics.attach m (Buffer_pool.metrics pool);
+    Metrics.gauge m "bloom_bits" (fun () -> Bloom.bit_count t.bloom);
+    Metrics.gauge m "bloom_keys" (fun () -> Bloom.count t.bloom);
+    Metrics.gauge m "bloom_stale_keys" (fun () -> t.bloom_stale);
+    t
 
   let place_on_page t page_id data =
     Buffer_pool.with_page t.pool page_id ~dirty:true (fun page -> Page.insert page data)
@@ -116,7 +128,7 @@ module Phys = struct
               Page.update page loc.slot data)
         in
         if not in_place then begin
-          t.relocations <- t.relocations + 1;
+          Metrics.incr t.relocations;
           remove t rid;
           insert t rid payload
         end
@@ -138,8 +150,8 @@ module Phys = struct
   let count t = Rid.Tbl.length t.dir
   let iter t f = Rid.Tbl.iter (fun rid _ -> f rid) t.dir
   let maybe_mem t rid = Bloom.maybe_mem t.bloom (Rid.to_int rid)
-  let note_negative t = t.bloom_negatives <- t.bloom_negatives + 1
-  let note_false_positive t = t.bloom_fp <- t.bloom_fp + 1
+  let note_negative t = Metrics.incr t.bloom_negatives
+  let note_false_positive t = Metrics.incr t.bloom_fp
 
   (* Size the bloom for a bulk load up front so neither the per-record adds
      nor the recovery anchor need a rebuild pass. *)
@@ -177,7 +189,7 @@ module Phys = struct
           if Rid.Tbl.mem t.dir rid && not (Bloom.maybe_mem t.bloom key) then
             Bloom.add t.bloom key)
         dirty_rids;
-      t.bloom_incr_rebuilds <- t.bloom_incr_rebuilds + 1
+      Metrics.incr t.bloom_incr_rebuilds
     end
     else rebuild_bloom t
 
@@ -188,30 +200,6 @@ module Phys = struct
   let before_checkpoint t = Buffer_pool.flush_all t.pool
 
   let crash t = Buffer_pool.drop_all t.pool
-
-  let io_counters t =
-    let pager = Pager.stats t.pager in
-    let pool = Buffer_pool.stats t.pool in
-    [
-      ("relocations", t.relocations);
-      ("page_reads", pager.Pager.reads);
-      ("page_writes", pager.Pager.writes);
-      ("pages", Pager.page_count t.pager);
-      ("pool_hits", pool.Buffer_pool.hits);
-      ("pool_misses", pool.Buffer_pool.misses);
-      ("pool_evictions", pool.Buffer_pool.evictions);
-      ("pool_writebacks", pool.Buffer_pool.writebacks);
-    ]
-
-  let filter_counters t =
-    [
-      ("bloom_negatives", t.bloom_negatives);
-      ("bloom_fp", t.bloom_fp);
-      ("bloom_bits", Bloom.bit_count t.bloom);
-      ("bloom_keys", Bloom.count t.bloom);
-      ("bloom_stale_keys", t.bloom_stale);
-      ("bloom_incremental_rebuilds", t.bloom_incr_rebuilds);
-    ]
 end
 
 include Record_store.Make (Phys)
@@ -222,4 +210,7 @@ let create ?(settings = Settings.default) ?faults ?rid_base ?rid_stride ~mgr ~na
     Pager.create ~io_spin:settings.Settings.io_spin ~faults ~page_size:settings.page_size ()
   in
   let pool = Buffer_pool.create ~faults pager ~capacity:settings.pool_capacity in
-  create ~settings ?rid_base ?rid_stride ~faults ~mgr ~name (Phys.create pager pool)
+  let phys = Phys.create pager pool in
+  let t = create ~settings ?rid_base ?rid_stride ~faults ~mgr ~name phys in
+  Metrics.attach (ops t).Store.metrics phys.Phys.metrics;
+  t

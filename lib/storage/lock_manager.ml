@@ -1,16 +1,10 @@
+module Metrics = Ode_util.Metrics
+
 type mode = S | X
 
 type key = Record of string * Rid.t | Named of string
 
 type outcome = Granted | Blocked of int list
-
-type stats = {
-  mutable s_granted : int;
-  mutable x_granted : int;
-  mutable upgrades : int;
-  mutable blocks : int;
-  mutable deadlocks : int;
-}
 
 exception Deadlock of { victim : int; cycle : int list }
 
@@ -18,16 +12,29 @@ type t = {
   table : (key, (int, mode) Hashtbl.t) Hashtbl.t;
   waiting : (int, key * mode) Hashtbl.t;
   held : (int, (key, unit) Hashtbl.t) Hashtbl.t;
-  stats : stats;
+  metrics : Metrics.t;
+  s_granted : Metrics.counter;
+  x_granted : Metrics.counter;
+  upgrades : Metrics.counter;
+  blocks : Metrics.counter;
+  deadlocks : Metrics.counter;
 }
 
 let create () =
+  let m = Metrics.create () in
   {
     table = Hashtbl.create 256;
     waiting = Hashtbl.create 16;
     held = Hashtbl.create 16;
-    stats = { s_granted = 0; x_granted = 0; upgrades = 0; blocks = 0; deadlocks = 0 };
+    metrics = m;
+    s_granted = Metrics.counter m "s_granted";
+    x_granted = Metrics.counter m "x_granted";
+    upgrades = Metrics.counter m "upgrades";
+    blocks = Metrics.counter m "blocks";
+    deadlocks = Metrics.counter m "deadlocks";
   }
+
+let metrics t = t.metrics
 
 let holders_tbl t key =
   match Hashtbl.find_opt t.table key with
@@ -102,10 +109,10 @@ let acquire t ~txn key mode =
     if conflicts = [] then begin
       (match (current, mode) with
       | Some S, X ->
-          t.stats.upgrades <- t.stats.upgrades + 1;
-          t.stats.x_granted <- t.stats.x_granted + 1
-      | None, S -> t.stats.s_granted <- t.stats.s_granted + 1
-      | None, X -> t.stats.x_granted <- t.stats.x_granted + 1
+          Metrics.incr t.upgrades;
+          Metrics.incr t.x_granted
+      | None, S -> Metrics.incr t.s_granted
+      | None, X -> Metrics.incr t.x_granted
       | Some X, _ | Some S, S -> ());
       Hashtbl.replace holders txn mode;
       note_held t ~txn key;
@@ -113,12 +120,12 @@ let acquire t ~txn key mode =
       Granted
     end
     else begin
-      t.stats.blocks <- t.stats.blocks + 1;
+      Metrics.incr t.blocks;
       Hashtbl.replace t.waiting txn (key, mode);
       match find_cycle t ~target:txn conflicts with
       | Some cycle ->
           cancel_wait t ~txn;
-          t.stats.deadlocks <- t.stats.deadlocks + 1;
+          Metrics.incr t.deadlocks;
           raise (Deadlock { victim = txn; cycle })
       | None -> Blocked conflicts
     end
@@ -150,12 +157,3 @@ let held_keys t ~txn =
 let pp_key fmt = function
   | Record (store, rid) -> Format.fprintf fmt "%s/%a" store Rid.pp rid
   | Named name -> Format.fprintf fmt "#%s" name
-
-let stats t = t.stats
-
-let reset_stats t =
-  t.stats.s_granted <- 0;
-  t.stats.x_granted <- 0;
-  t.stats.upgrades <- 0;
-  t.stats.blocks <- 0;
-  t.stats.deadlocks <- 0

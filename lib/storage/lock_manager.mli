@@ -23,14 +23,6 @@ type outcome =
   | Granted
   | Blocked of int list  (** conflicting holder transaction ids *)
 
-type stats = {
-  mutable s_granted : int;
-  mutable x_granted : int;
-  mutable upgrades : int;
-  mutable blocks : int;
-  mutable deadlocks : int;
-}
-
 exception Deadlock of { victim : int; cycle : int list }
 
 type t
@@ -54,5 +46,5 @@ val held_keys : t -> txn:int -> key list
 
 val pp_key : Format.formatter -> key -> unit
 
-val stats : t -> stats
-val reset_stats : t -> unit
+val metrics : t -> Ode_util.Metrics.t
+(** Counters [s_granted], [x_granted], [upgrades], [blocks], [deadlocks]. *)

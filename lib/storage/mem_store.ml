@@ -17,8 +17,6 @@ module Phys = struct
   let on_full_anchor _ ~dirty_rids:_ = ()
   let before_checkpoint _ = ()
   let crash = Rid.Tbl.reset
-  let io_counters _ = []
-  let filter_counters _ = []
 end
 
 include Record_store.Make (Phys)

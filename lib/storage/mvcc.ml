@@ -1,3 +1,5 @@
+module Metrics = Ode_util.Metrics
+
 type t = {
   chains : (int * bytes option) list Rid.Tbl.t;  (* newest first *)
   pending : unit Rid.Tbl.t;
@@ -6,9 +8,11 @@ type t = {
          pass costs O(recently-written records), not O(all records) — at
          million-object scale a full-table sweep every
          [auto_prune_interval] installs would dominate update cost. *)
-  mutable installed : int;
-  mutable pruned : int;
-  mutable snapshot_reads : int;
+  metrics : Metrics.t;
+  installed : Metrics.counter;
+  pruned : Metrics.counter;
+  snapshot_reads : Metrics.counter;
+  s_locks_avoided : Metrics.counter;
   mutable since_prune : int;  (* installs since the last prune *)
   mutable sorted : Rid.t list option;  (* chain rids ascending; None = stale *)
 }
@@ -18,15 +22,26 @@ let own_read_ts = -1
 let auto_prune_interval = 256
 
 let create () =
-  {
-    chains = Rid.Tbl.create 256;
-    pending = Rid.Tbl.create 256;
-    installed = 0;
-    pruned = 0;
-    snapshot_reads = 0;
-    since_prune = 0;
-    sorted = None;
-  }
+  let m = Metrics.create () in
+  let t =
+    {
+      chains = Rid.Tbl.create 256;
+      pending = Rid.Tbl.create 256;
+      metrics = m;
+      snapshot_reads = Metrics.counter m "snapshot_reads";
+      s_locks_avoided = Metrics.counter m "s_locks_avoided";
+      installed = Metrics.counter m "versions_installed";
+      pruned = Metrics.counter m "versions_pruned";
+      since_prune = 0;
+      sorted = None;
+    }
+  in
+  Metrics.peak m "max_chain_len" (fun () ->
+      Rid.Tbl.fold (fun _ chain acc -> max acc (List.length chain)) t.chains 0);
+  Metrics.gauge m "chains" (fun () -> Rid.Tbl.length t.chains);
+  t
+
+let metrics t = t.metrics
 
 (* Recovery bulk load: a fresh singleton non-tombstone chain is settled
    (nothing to prune until a later install supersedes it), so skipping the
@@ -35,14 +50,14 @@ let create () =
    spares recovery's snapshot scans a sort. *)
 let load t ~ts entries =
   List.iter (fun (rid, payload) -> Rid.Tbl.replace t.chains rid [ (ts, Some payload) ]) entries;
-  t.installed <- t.installed + List.length entries;
+  Metrics.add t.installed (List.length entries);
   t.sorted <- Some (List.map fst entries)
 
 let install t ~ts rid payload =
   let chain = match Rid.Tbl.find_opt t.chains rid with Some c -> c | None -> t.sorted <- None; [] in
   Rid.Tbl.replace t.chains rid ((ts, payload) :: chain);
   Rid.Tbl.replace t.pending rid ();
-  t.installed <- t.installed + 1;
+  Metrics.incr t.installed;
   t.since_prune <- t.since_prune + 1
 
 let latest t rid =
@@ -87,14 +102,14 @@ let prune t ~watermark =
             | ((vts, _) as v) :: older ->
                 if vts > watermark then v :: keep older
                 else begin
-                  t.pruned <- t.pruned + List.length older;
+                  Metrics.add t.pruned (List.length older);
                   [ v ]
                 end
           in
           let kept = keep chain in
           match kept with
           | [ (vts, None) ] when vts <= watermark ->
-              t.pruned <- t.pruned + 1;
+              Metrics.incr t.pruned;
               doomed := rid :: !doomed;
               settled := rid :: !settled
           | [ (_, Some _) ] ->
@@ -115,17 +130,6 @@ let clear t =
   t.since_prune <- 0;
   t.sorted <- None
 
-let note_snapshot_read t = t.snapshot_reads <- t.snapshot_reads + 1
-
-let max_chain_len t =
-  Rid.Tbl.fold (fun _ chain acc -> max acc (List.length chain)) t.chains 0
-
-let counters t =
-  [
-    ("mvcc.snapshot_reads", t.snapshot_reads);
-    ("mvcc.s_locks_avoided", t.snapshot_reads);
-    ("mvcc.versions_installed", t.installed);
-    ("mvcc.versions_pruned", t.pruned);
-    ("mvcc.max_chain_len", max_chain_len t);
-    ("mvcc.chains", Rid.Tbl.length t.chains);
-  ]
+let note_snapshot_read t =
+  Metrics.incr t.snapshot_reads;
+  Metrics.incr t.s_locks_avoided

@@ -69,10 +69,7 @@ val clear : t -> unit
 val note_snapshot_read : t -> unit
 (** Count one snapshot-path read (and the S lock it avoided). *)
 
-val max_chain_len : t -> int
-(** Current longest chain (recomputed; 0 for an empty store). *)
-
-val counters : t -> (string * int) list
-(** [mvcc.snapshot_reads], [mvcc.s_locks_avoided],
-    [mvcc.versions_installed], [mvcc.versions_pruned],
-    [mvcc.max_chain_len], [mvcc.chains]. *)
+val metrics : t -> Ode_util.Metrics.t
+(** Counters [snapshot_reads], [s_locks_avoided] (equal: every snapshot
+    read avoids an S lock), [versions_installed], [versions_pruned]; peak
+    [max_chain_len] (the current longest chain); gauge [chains]. *)

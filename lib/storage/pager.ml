@@ -1,4 +1,4 @@
-type stats = { mutable reads : int; mutable writes : int; mutable allocs : int }
+module Metrics = Ode_util.Metrics
 
 type t = {
   page_size : int;
@@ -6,19 +6,30 @@ type t = {
   faults : Faults.t;
   mutable pages : bytes array;
   mutable used : int;
-  stats : stats;
+  metrics : Metrics.t;
+  reads : Metrics.counter;
+  writes : Metrics.counter;
 }
 
 let create ?(io_spin = 0) ?faults ~page_size () =
   let faults = match faults with Some f -> f | None -> Faults.create () in
-  {
-    page_size;
-    io_spin;
-    faults;
-    pages = Array.make 8 Bytes.empty;
-    used = 0;
-    stats = { reads = 0; writes = 0; allocs = 0 };
-  }
+  let m = Metrics.create () in
+  let t =
+    {
+      page_size;
+      io_spin;
+      faults;
+      pages = Array.make 8 Bytes.empty;
+      used = 0;
+      metrics = m;
+      reads = Metrics.counter m "page_reads";
+      writes = Metrics.counter m "page_writes";
+    }
+  in
+  Metrics.gauge m "pages" (fun () -> t.used);
+  t
+
+let metrics t = t.metrics
 
 let faults t = t.faults
 
@@ -48,10 +59,7 @@ let alloc t =
   let id = t.used in
   t.pages.(id) <- Page.to_bytes (Page.create ~size:t.page_size);
   t.used <- t.used + 1;
-  t.stats.allocs <- t.stats.allocs + 1;
   id
-
-let page_count t = t.used
 
 let check t id = if id < 0 || id >= t.used then invalid_arg "Pager: unknown page id"
 
@@ -62,14 +70,14 @@ let read t id =
   | `Torn _ ->
       (* A read cannot be torn; treat as a failed I/O. *)
       raise (Faults.Injected_fault { point = Faults.point t.faults; site = Faults.Page_read }));
-  t.stats.reads <- t.stats.reads + 1;
+  Metrics.incr t.reads;
   spin t;
   Page.of_bytes t.pages.(id)
 
 let write t id page =
   check t id;
   let verdict = Faults.check t.faults Faults.Page_write in
-  t.stats.writes <- t.stats.writes + 1;
+  Metrics.incr t.writes;
   spin t;
   match verdict with
   | `Proceed -> t.pages.(id) <- Page.to_bytes page
@@ -84,10 +92,3 @@ let write t id page =
       Bytes.blit fresh 0 merged 0 keep;
       t.pages.(id) <- merged;
       Faults.torn_crash t.faults Faults.Page_write
-
-let stats t = t.stats
-
-let reset_stats t =
-  t.stats.reads <- 0;
-  t.stats.writes <- 0;
-  t.stats.allocs <- 0

@@ -9,8 +9,6 @@
 
 type t
 
-type stats = { mutable reads : int; mutable writes : int; mutable allocs : int }
-
 val create : ?io_spin:int -> ?faults:Faults.t -> page_size:int -> unit -> t
 (** [io_spin] simulates device latency: each physical read/write busy-loops
     that many iterations (default 0). Used by the disk-vs-main-memory
@@ -25,13 +23,11 @@ val page_size : t -> int
 val alloc : t -> int
 (** Allocate a fresh zeroed page; returns its page id. *)
 
-val page_count : t -> int
-
 val read : t -> int -> Page.t
 (** Physical read (counted). Raises [Invalid_argument] on an unknown id. *)
 
 val write : t -> int -> Page.t -> unit
 (** Physical write (counted). *)
 
-val stats : t -> stats
-val reset_stats : t -> unit
+val metrics : t -> Ode_util.Metrics.t
+(** Counters [page_reads], [page_writes]; gauge [pages]. *)

@@ -1,3 +1,5 @@
+module Metrics = Ode_util.Metrics
+
 let fail fmt = Format.kasprintf (fun msg -> raise (Store.Store_error msg)) fmt
 
 module type PHYS = sig
@@ -17,8 +19,6 @@ module type PHYS = sig
   val on_full_anchor : t -> dirty_rids:Rid.t list -> unit
   val before_checkpoint : t -> unit
   val crash : t -> unit
-  val io_counters : t -> (string * int) list
-  val filter_counters : t -> (string * int) list
 end
 
 module type S = sig
@@ -49,13 +49,14 @@ module Make (P : PHYS) = struct
     rid_stride : int;
     mutable next_rid : int;
     mutable crashed : bool;
-    mutable inserts : int;
-    mutable reads : int;
-    mutable updates : int;
-    mutable deletes : int;
-    mutable ckpt_fulls : int;
-    mutable ckpt_deltas : int;
-    mutable ckpt_delta_bytes : int;  (* total encoded size of delta manifests *)
+    metrics : Metrics.t;
+    inserts : Metrics.counter;
+    reads : Metrics.counter;
+    updates : Metrics.counter;
+    deletes : Metrics.counter;
+    ckpt_fulls : Metrics.counter;
+    ckpt_deltas : Metrics.counter;
+    ckpt_delta_bytes : Metrics.counter;  (* total encoded size of delta manifests *)
   }
 
   let check_usable t = if t.crashed then fail "store %s has crashed" t.name
@@ -95,7 +96,7 @@ module Make (P : PHYS) = struct
     P.put t.phys rid payload;
     t.sorted_rids <- None;
     log_op t txn (Wal.Insert (rid, payload));
-    t.inserts <- t.inserts + 1;
+    Metrics.incr t.inserts;
     P.after_insert t.phys;
     rid
 
@@ -109,7 +110,7 @@ module Make (P : PHYS) = struct
       Txn.check_active txn;
       let ts = Txn.pin_snapshot txn in
       Mvcc.note_snapshot_read t.chains;
-      t.reads <- t.reads + 1;
+      Metrics.incr t.reads;
       Mvcc.read_at t.chains ~ts rid
     end
     else if not (P.maybe_mem t.phys rid) then begin
@@ -119,12 +120,12 @@ module Make (P : PHYS) = struct
          the filter and fall through to the lock. *)
       Txn.check_active txn;
       P.note_negative t.phys;
-      t.reads <- t.reads + 1;
+      Metrics.incr t.reads;
       None
     end
     else begin
       lock t txn rid Lock_manager.S;
-      t.reads <- t.reads + 1;
+      Metrics.incr t.reads;
       match P.find t.phys rid with
       | None ->
           P.note_false_positive t.phys;
@@ -142,7 +143,7 @@ module Make (P : PHYS) = struct
     let held =
       Lock_manager.holds (Txn.lock_mgr t.mgr) ~txn:txn.id (lock_key t rid) <> None
     in
-    t.reads <- t.reads + 1;
+    Metrics.incr t.reads;
     if held then (Mvcc.own_read_ts, P.find t.phys rid)
     else begin
       Mvcc.note_snapshot_read t.chains;
@@ -160,7 +161,7 @@ module Make (P : PHYS) = struct
     | Some before ->
         P.put t.phys rid payload;
         log_op t txn (Wal.Update (rid, before, payload));
-        t.updates <- t.updates + 1
+        Metrics.incr t.updates
 
   let delete_impl t (txn : Txn.t) rid =
     check_usable t;
@@ -172,7 +173,7 @@ module Make (P : PHYS) = struct
         P.remove t.phys rid;
         t.sorted_rids <- None;
         log_op t txn (Wal.Delete (rid, before));
-        t.deletes <- t.deletes + 1
+        Metrics.incr t.deletes
 
   (* Sorted scan order, rebuilt only after an insert/delete/undo dirtied it:
      Crashlab probes and checkpoints scan after every transaction, so
@@ -194,7 +195,7 @@ module Make (P : PHYS) = struct
       let ts = Txn.pin_snapshot txn in
       Mvcc.iter_at t.chains ~ts (fun rid payload ->
           Mvcc.note_snapshot_read t.chains;
-          t.reads <- t.reads + 1;
+          Metrics.incr t.reads;
           f rid payload)
     end
     else begin
@@ -299,7 +300,7 @@ module Make (P : PHYS) = struct
     in
     Rid.Tbl.reset t.dirty;
     if full then begin
-      t.ckpt_fulls <- t.ckpt_fulls + 1;
+      Metrics.incr t.ckpt_fulls;
       t.last_full_seq <- seq;
       (* The anchor starts at [durable end - its encoded length]: it is the
          last record of the flush we just forced. Everything strictly below
@@ -308,8 +309,8 @@ module Make (P : PHYS) = struct
       P.on_full_anchor t.phys ~dirty_rids
     end
     else begin
-      t.ckpt_deltas <- t.ckpt_deltas + 1;
-      t.ckpt_delta_bytes <- t.ckpt_delta_bytes + record_len
+      Metrics.incr t.ckpt_deltas;
+      Metrics.add t.ckpt_delta_bytes record_len
     end;
     Commit_pipeline.note_checkpoint t.pipeline;
     Mvcc.prune t.chains ~watermark:(Txn.gc_watermark t.mgr)
@@ -357,38 +358,10 @@ module Make (P : PHYS) = struct
     Commit_pipeline.flush t.pipeline;
     t.ckpt_seq <- seq + 1;
     Rid.Tbl.reset t.dirty;
-    t.ckpt_fulls <- t.ckpt_fulls + 1;
+    Metrics.incr t.ckpt_fulls;
     t.last_full_seq <- seq;
     Commit_pipeline.note_checkpoint t.pipeline;
     Mvcc.prune t.chains ~watermark:(Txn.gc_watermark t.mgr)
-
-  let counters_impl t () =
-    [
-      ("inserts", t.inserts);
-      ("reads", t.reads);
-      ("updates", t.updates);
-      ("deletes", t.deletes);
-    ]
-    @ P.io_counters t.phys
-    @ [
-        ("wal_flushes", Wal.flush_count t.wal);
-        ("wal_bytes", Wal.durable_size t.wal);
-        ("wal_footprint", Wal.retained_size t.wal);
-        ("segments_sealed", Wal.segments_sealed t.wal);
-        ("segments_retired", Wal.segments_retired t.wal);
-        ("wal_retired_bytes", Wal.retired_bytes t.wal);
-        ("ckpt_fulls", t.ckpt_fulls);
-        ("ckpt_deltas", t.ckpt_deltas);
-        ("ckpt_incremental_bytes", t.ckpt_delta_bytes);
-        ("dirty_rids", Rid.Tbl.length t.dirty);
-      ]
-    @ P.filter_counters t.phys
-    @ Commit_pipeline.counters t.pipeline
-    @ Mvcc.counters t.chains
-    @ [
-        ("mvcc.oldest_snapshot_lag", Txn.oldest_snapshot_lag t.mgr);
-        ("mvcc.live_snapshots", Txn.live_snapshot_count t.mgr);
-      ]
 
   let create ~(settings : Settings.t) ?(rid_base = 0) ?(rid_stride = 1) ~faults ~mgr ~name phys =
     if rid_stride < 1 || rid_base < 0 || rid_base >= rid_stride then
@@ -398,6 +371,7 @@ module Make (P : PHYS) = struct
       Wal.create ~faults ~flush_spin:settings.flush_spin ~flush_sleep:settings.flush_sleep
         ~segment_bytes:settings.wal_segment_bytes ()
     in
+    let m = Metrics.create () in
     let t =
       {
         name;
@@ -419,15 +393,22 @@ module Make (P : PHYS) = struct
         rid_stride;
         next_rid = rid_base;
         crashed = false;
-        inserts = 0;
-        reads = 0;
-        updates = 0;
-        deletes = 0;
-        ckpt_fulls = 0;
-        ckpt_deltas = 0;
-        ckpt_delta_bytes = 0;
+        metrics = m;
+        inserts = Metrics.counter m "inserts";
+        reads = Metrics.counter m "reads";
+        updates = Metrics.counter m "updates";
+        deletes = Metrics.counter m "deletes";
+        ckpt_fulls = Metrics.counter m "ckpt_fulls";
+        ckpt_deltas = Metrics.counter m "ckpt_deltas";
+        ckpt_delta_bytes = Metrics.counter m "ckpt_incremental_bytes";
       }
     in
+    Metrics.gauge m "dirty_rids" (fun () -> Rid.Tbl.length t.dirty);
+    Metrics.peak m "mvcc.oldest_snapshot_lag" (fun () -> Txn.oldest_snapshot_lag mgr);
+    Metrics.gauge m "mvcc.live_snapshots" (fun () -> Txn.live_snapshot_count mgr);
+    Metrics.attach m (Wal.metrics wal);
+    Metrics.attach m (Commit_pipeline.metrics t.pipeline);
+    Metrics.attach m ~prefix:"mvcc" (Mvcc.metrics t.chains);
     Txn.register_participant mgr
       { Txn.p_name = name; p_prepare = (fun _ -> ()); on_commit = on_commit t; on_abort = on_abort t };
     t
@@ -465,7 +446,7 @@ module Make (P : PHYS) = struct
       maybe_present = maybe_present t;
       in_flight = (fun () -> Hashtbl.length t.undo);
       checkpoint = checkpoint_impl t;
-      counters = counters_impl t;
+      metrics = t.metrics;
       crash = (fun () -> crash t);
       wal = t.wal;
       pipeline = t.pipeline;

@@ -52,12 +52,6 @@ module type PHYS = sig
 
   val crash : t -> unit
   (** Drop the volatile physical state. *)
-
-  val io_counters : t -> (string * int) list
-  (** Listed after the op counters. *)
-
-  val filter_counters : t -> (string * int) list
-  (** Listed after the checkpoint counters. *)
 end
 
 (** What both stores export besides [create]. *)

@@ -21,7 +21,7 @@ type t = {
       (* transactions with uncommitted writes in this store (undo entries);
          a checkpoint needs this to be 0. *)
   checkpoint : unit -> unit;
-  counters : unit -> (string * int) list;
+  metrics : Ode_util.Metrics.t;
   crash : unit -> unit;
   wal : Wal.t;
   pipeline : Commit_pipeline.t;

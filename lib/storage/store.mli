@@ -74,9 +74,10 @@ type t = {
           watermark. A full anchor also retires WAL segments below it
           and rebuilds the bloom filter. Only call at transaction
           quiescence (raises [Store_error] otherwise). *)
-  counters : unit -> (string * int) list;
-      (** Backend-specific counters (page I/O, pool hits, WAL flushes,
-          [mvcc.*], ...) for the benchmark harness. *)
+  metrics : Ode_util.Metrics.t;
+      (** The store's values: op counts, WAL, checkpoint chain, commit
+          pipeline, [mvcc.*] and, on disk, page I/O, pool and bloom
+          filter. *)
   crash : unit -> unit;
       (** Simulate a crash: the volatile state (records in memory,
           buffered frames, version chains) is lost and the store refuses

@@ -1,3 +1,5 @@
+module Metrics = Ode_util.Metrics
+
 type state = Active | Committed | Aborted
 
 type t = {
@@ -24,7 +26,11 @@ and mgr = {
   mutable next_id : int;
   mutable participants : participant list;  (* in registration order *)
   states : (int, state) Hashtbl.t;
-  stats : mgr_stats;
+  metrics : Metrics.t;
+  begun : Metrics.counter;
+  committed : Metrics.counter;
+  aborted : Metrics.counter;
+  system_begun : Metrics.counter;
   (* MVCC commit clock: one tick per committed writer, advanced by the
      commit pipeline in flush-enqueue order (== commit order in this
      synchronous engine). Per-manager, so each Ode_parallel shard keeps
@@ -33,38 +39,37 @@ and mgr = {
   live_snapshots : (int, int) Hashtbl.t;  (* txn id -> pinned snapshot ts *)
 }
 
-and mgr_stats = {
-  mutable begun : int;
-  mutable committed : int;
-  mutable aborted : int;
-  mutable system_begun : int;
-}
-
 exception Invalid_state of string
 
 exception Dependency_failed of { txn : int; on : int }
 
 let create_mgr ?lock_mgr () =
   let lock_mgr = match lock_mgr with Some l -> l | None -> Lock_manager.create () in
+  let m = Metrics.create () in
   {
     lock_mgr;
     next_id = 1;
     participants = [];
     states = Hashtbl.create 64;
-    stats = { begun = 0; committed = 0; aborted = 0; system_begun = 0 };
+    metrics = m;
+    begun = Metrics.counter m "begun";
+    committed = Metrics.counter m "committed";
+    aborted = Metrics.counter m "aborted";
+    system_begun = Metrics.counter m "system";
     commit_clock = 0;
     live_snapshots = Hashtbl.create 8;
   }
 
 let lock_mgr mgr = mgr.lock_mgr
+let metrics mgr = mgr.metrics
 
 let register_participant mgr p = mgr.participants <- mgr.participants @ [ p ]
 
 let begin_txn ?(system = false) ?(snapshot = false) mgr =
   let id = mgr.next_id in
   mgr.next_id <- id + 1;
-  mgr.stats.begun <- mgr.stats.begun + 1;
-  if system then mgr.stats.system_begun <- mgr.stats.system_begun + 1;
+  Metrics.incr mgr.begun;
+  if system then Metrics.incr mgr.system_begun;
   let t =
     { id; system; snapshot; mgr; state = Active; deps = []; unacked = 0; commit_ts = -1;
       snapshot_ts = -1 }
@@ -135,7 +140,7 @@ let abort t =
   check_active t;
   List.iter (fun p -> p.on_abort t) (List.rev t.mgr.participants);
   finish t Aborted;
-  t.mgr.stats.aborted <- t.mgr.stats.aborted + 1
+  Metrics.incr t.mgr.aborted
 
 let state_of mgr id = Hashtbl.find_opt mgr.states id
 
@@ -159,7 +164,7 @@ let commit t =
   List.iter (fun p -> p.p_prepare t) t.mgr.participants;
   List.iter (fun p -> p.on_commit t) t.mgr.participants;
   finish t Committed;
-  t.mgr.stats.committed <- t.mgr.stats.committed + 1
+  Metrics.incr t.mgr.committed
 
 (* Durability-ack accounting, driven by the commit pipeline
    ({!Commit_pipeline}): each participating store defers the transaction's
@@ -178,14 +183,6 @@ let add_dependency_id t ~on =
   if not (List.mem on t.deps) then t.deps <- on :: t.deps
 
 let add_dependency t ~(on : t) = add_dependency_id t ~on:on.id
-
-let stats mgr = mgr.stats
-
-let reset_stats mgr =
-  mgr.stats.begun <- 0;
-  mgr.stats.committed <- 0;
-  mgr.stats.aborted <- 0;
-  mgr.stats.system_begun <- 0
 
 let pp fmt t =
   Format.fprintf fmt "t%d%s(%s)" t.id

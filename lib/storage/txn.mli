@@ -43,13 +43,6 @@ and participant = {
 
 and mgr
 
-type mgr_stats = {
-  mutable begun : int;
-  mutable committed : int;
-  mutable aborted : int;
-  mutable system_begun : int;
-}
-
 exception Invalid_state of string
 (** Raised when committing/aborting a non-active transaction, or operating
     under a finished one. *)
@@ -60,6 +53,10 @@ exception Dependency_failed of { txn : int; on : int }
 
 val create_mgr : ?lock_mgr:Lock_manager.t -> unit -> mgr
 val lock_mgr : mgr -> Lock_manager.t
+
+val metrics : mgr -> Ode_util.Metrics.t
+(** Counters [begun], [committed], [aborted] and [system] (system
+    transactions begun). *)
 
 val register_participant : mgr -> participant -> unit
 
@@ -142,7 +139,5 @@ val durably_acked : t -> bool
     this is true as soon as [commit] returns (barring an injected flush
     failure); under [Group]/[Async] it flips when the batch flush lands. *)
 
-val stats : mgr -> mgr_stats
-val reset_stats : mgr -> unit
 
 val pp : Format.formatter -> t -> unit

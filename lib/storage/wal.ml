@@ -1,4 +1,5 @@
 module Binc = Ode_util.Binc
+module Metrics = Ode_util.Metrics
 
 type op =
   | Insert of Rid.t * bytes
@@ -33,10 +34,11 @@ type t = {
   flush_spin : int;
   flush_sleep : int;  (* blocking fsync latency in ns; 0 = none *)
   mutable tail : record list;  (* reversed *)
-  mutable flushes : int;
-  mutable segments_sealed : int;
-  mutable segments_retired : int;
-  mutable retired_bytes : int;
+  metrics : Metrics.t;
+  flushes : Metrics.counter;
+  segments_sealed : Metrics.counter;
+  segments_retired : Metrics.counter;
+  retired_bytes : Metrics.counter;
   (* Decoded-durable-prefix cache: Crashlab probes call [durable_records]
      and [durable_bytes] once per I/O point, so re-copying and re-decoding
      the whole log each call is quadratic in log length. Flushes only ever
@@ -48,27 +50,39 @@ type t = {
   mutable bytes_cache : bytes option;  (* copy of the retained log, while current *)
 }
 
+let durable_size t = t.active_base + Buffer.length t.active
+let retained_size t = durable_size t - t.retired_offset
+
 let create ?faults ~flush_spin ~flush_sleep ~segment_bytes () =
   let faults = match faults with Some f -> f | None -> Faults.create () in
-  {
-    active = Buffer.create 4096;
-    active_base = 0;
-    sealed = [];
-    retired_offset = 0;
-    segment_bytes;
-    pins = [];
-    faults;
-    flush_spin;
-    flush_sleep;
-    tail = [];
-    flushes = 0;
-    segments_sealed = 0;
-    segments_retired = 0;
-    retired_bytes = 0;
-    decoded_rev = [];
-    decoded_upto = 0;
-    bytes_cache = None;
-  }
+  let m = Metrics.create () in
+  let t =
+    {
+      active = Buffer.create 4096;
+      active_base = 0;
+      sealed = [];
+      retired_offset = 0;
+      segment_bytes;
+      pins = [];
+      faults;
+      flush_spin;
+      flush_sleep;
+      tail = [];
+      metrics = m;
+      flushes = Metrics.counter m "wal_flushes";
+      segments_sealed = Metrics.counter m "segments_sealed";
+      segments_retired = Metrics.counter m "segments_retired";
+      retired_bytes = Metrics.counter m "wal_retired_bytes";
+      decoded_rev = [];
+      decoded_upto = 0;
+      bytes_cache = None;
+    }
+  in
+  Metrics.gauge m "wal_bytes" (fun () -> durable_size t);
+  Metrics.gauge m "wal_footprint" (fun () -> retained_size t);
+  t
+
+let metrics t = t.metrics
 
 let append t r = t.tail <- r :: t.tail
 
@@ -200,7 +214,7 @@ let maybe_rotate t =
     t.sealed <- { seg_base = t.active_base; seg_bytes = Buffer.to_bytes t.active } :: t.sealed;
     t.active_base <- t.active_base + Buffer.length t.active;
     Buffer.clear t.active;
-    t.segments_sealed <- t.segments_sealed + 1
+    Metrics.incr t.segments_sealed
   end
 
 let flush t =
@@ -225,10 +239,8 @@ let flush t =
         Faults.torn_crash t.faults Faults.Wal_flush);
     t.tail <- []
   end;
-  t.flushes <- t.flushes + 1
+  Metrics.incr t.flushes
 
-let durable_size t = t.active_base + Buffer.length t.active
-let retained_size t = durable_size t - t.retired_offset
 let retired_offset t = t.retired_offset
 
 let durable_bytes t =
@@ -288,8 +300,8 @@ let retire_below t ~offset =
     t.sealed <- kept;
     List.iter
       (fun seg ->
-        t.segments_retired <- t.segments_retired + 1;
-        t.retired_bytes <- t.retired_bytes + Bytes.length seg.seg_bytes;
+        Metrics.incr t.segments_retired;
+        Metrics.add t.retired_bytes (Bytes.length seg.seg_bytes);
         t.retired_offset <- max t.retired_offset (seg.seg_base + Bytes.length seg.seg_bytes))
       gone;
     (* The decode caches cover bytes that no longer exist; restart them
@@ -299,10 +311,6 @@ let retire_below t ~offset =
     t.decoded_upto <- t.retired_offset
   end
 
-let flush_count t = t.flushes
-let segments_sealed t = t.segments_sealed
-let segments_retired t = t.segments_retired
-let retired_bytes t = t.retired_bytes
 let segment_count t = List.length t.sealed + 1
 
 let pp_record fmt = function

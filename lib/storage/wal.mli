@@ -94,8 +94,10 @@ val durable_records : t -> record list
 val all_records : t -> record list
 (** Retained durable and still-buffered records, in append order. *)
 
-val flush_count : t -> int
-(** Number of {!flush} calls so far (fsync count for the benchmarks). *)
+val metrics : t -> Ode_util.Metrics.t
+(** Counters [wal_flushes] ({!flush} calls: the fsync count),
+    [segments_sealed], [segments_retired], [wal_retired_bytes]; gauges
+    [wal_bytes] ({!durable_size}) and [wal_footprint] ({!retained_size}). *)
 
 val durable_size : t -> int
 (** {e Global} end offset of the durable prefix — monotone over the whole
@@ -127,10 +129,6 @@ val retire_below : t -> offset:int -> unit
     Called by the stores after a full checkpoint with the checkpoint
     record's global offset: everything below the anchor is re-derivable
     from it. The active segment is never retired. *)
-
-val segments_sealed : t -> int
-val segments_retired : t -> int
-val retired_bytes : t -> int
 
 val segment_count : t -> int
 (** Retained segments, counting the active one. *)

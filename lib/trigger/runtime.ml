@@ -5,6 +5,7 @@ module Oid = Ode_objstore.Oid
 module Value = Ode_objstore.Value
 module Intern = Ode_event.Intern
 module Fsm = Ode_event.Fsm
+module Metrics = Ode_util.Metrics
 
 let src = Logs.Src.create "ode.trigger" ~doc:"Ode trigger runtime"
 
@@ -15,29 +16,6 @@ exception Tabort
 exception Trigger_error of string
 
 let fail fmt = Format.kasprintf (fun msg -> raise (Trigger_error msg)) fmt
-
-type stats = {
-  mutable posts : int;
-  mutable index_probes : int;
-  mutable index_skips : int;
-  mutable fsm_moves : int;
-  mutable mask_evals : int;
-  mutable state_writes : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_flushes : int;
-  mutable fires_immediate : int;
-  mutable fires_end : int;
-  mutable fires_dependent : int;
-  mutable fires_independent : int;
-  mutable fires_phoenix : int;
-  mutable activations : int;
-  mutable deactivations : int;
-  mutable local_activations : int;
-  mutable snapshot_reads : int;
-  mutable s_locks_avoided : int;
-  mutable write_conflicts : int;
-}
 
 type config = {
   filter : bool;
@@ -165,7 +143,27 @@ type t = {
      lock-free MVCC read-committed path instead of S-locking. *)
   snap_safe : (string * string, unit) Hashtbl.t;
   mutable lock_free_depth : int;  (* > 0 inside a certified advance/fire *)
-  stats : stats;
+  metrics : Metrics.t;
+  posts : Metrics.counter;
+  index_probes : Metrics.counter;
+  index_skips : Metrics.counter;
+  fsm_moves : Metrics.counter;
+  mask_evals : Metrics.counter;
+  state_writes : Metrics.counter;
+  cache_hits : Metrics.counter;
+  cache_misses : Metrics.counter;
+  cache_flushes : Metrics.counter;
+  fires_immediate : Metrics.counter;
+  fires_end : Metrics.counter;
+  fires_dependent : Metrics.counter;
+  fires_independent : Metrics.counter;
+  fires_phoenix : Metrics.counter;
+  activations : Metrics.counter;
+  deactivations : Metrics.counter;
+  local_activations : Metrics.counter;
+  snapshot_reads : Metrics.counter;
+  s_locks_avoided : Metrics.counter;
+  write_conflicts : Metrics.counter;
 }
 
 let registry t = t.registry
@@ -214,30 +212,6 @@ let note_read_lock t cls = if t.lock_free_depth = 0 then note_lock t Trig_read c
 let note_object_access t ~cls ~write =
   if write then note_lock t Obj_write cls
   else if t.lock_free_depth = 0 then note_lock t Obj_read cls
-
-let fresh_stats () =
-  {
-    posts = 0;
-    index_probes = 0;
-    index_skips = 0;
-    fsm_moves = 0;
-    mask_evals = 0;
-    state_writes = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_flushes = 0;
-    fires_immediate = 0;
-    fires_end = 0;
-    fires_dependent = 0;
-    fires_independent = 0;
-    fires_phoenix = 0;
-    activations = 0;
-    deactivations = 0;
-    local_activations = 0;
-    snapshot_reads = 0;
-    s_locks_avoided = 0;
-    write_conflicts = 0;
-  }
 
 let local t (txn : Txn.t) =
   match Hashtbl.find_opt t.locals txn.Txn.id with
@@ -318,7 +292,7 @@ let flush_cache t (txn : Txn.t) =
           | Some ce when ce.c_dirty ->
               t.store.Store.update txn rid (Trigger_state.encode ce.c_st);
               ce.c_dirty <- false;
-              t.stats.cache_flushes <- t.stats.cache_flushes + 1
+              Metrics.incr t.cache_flushes
           | Some _ | None -> ())
         (List.rev l.dirty);
       l.dirty <- []
@@ -337,6 +311,7 @@ let on_txn_commit t (txn : Txn.t) =
       l.index_journal <- []
 
 let create ?(config = default_config) ~mgr ~intern ~store () =
+  let m = Metrics.create () in
   let t =
     {
       registry = Trigger_def.Registry.create ();
@@ -353,7 +328,27 @@ let create ?(config = default_config) ~mgr ~intern ~store () =
       validator = None;
       snap_safe = Hashtbl.create 8;
       lock_free_depth = 0;
-      stats = fresh_stats ();
+      metrics = m;
+      posts = Metrics.counter m "posts";
+      index_probes = Metrics.counter m "index_probes";
+      index_skips = Metrics.counter m "index_skips";
+      fsm_moves = Metrics.counter m "fsm_moves";
+      mask_evals = Metrics.counter m "mask_evals";
+      state_writes = Metrics.counter m "state_writes";
+      cache_hits = Metrics.counter m "cache_hits";
+      cache_misses = Metrics.counter m "cache_misses";
+      cache_flushes = Metrics.counter m "cache_flushes";
+      fires_immediate = Metrics.counter m "fires_immediate";
+      fires_end = Metrics.counter m "fires_end";
+      fires_dependent = Metrics.counter m "fires_dependent";
+      fires_independent = Metrics.counter m "fires_independent";
+      fires_phoenix = Metrics.counter m "fires_phoenix";
+      activations = Metrics.counter m "activations";
+      deactivations = Metrics.counter m "deactivations";
+      local_activations = Metrics.counter m "local_activations";
+      snapshot_reads = Metrics.counter m "snapshot_reads";
+      s_locks_avoided = Metrics.counter m "s_locks_avoided";
+      write_conflicts = Metrics.counter m "write_conflicts";
     }
   in
   Txn.register_participant mgr
@@ -417,12 +412,12 @@ let rebuild_index ?object_exists t txn =
 (* Machine moves: {!Fsm.advance} and {!Fsm.settle} with this runtime's
    mask context and counters. *)
 
-let count_move t () = t.stats.fsm_moves <- t.stats.fsm_moves + 1
+let count_move t () = Metrics.incr t.fsm_moves
 
 let eval_mask t (info : Trigger_def.info) ctx m =
   match List.assoc_opt m info.Trigger_def.t_masks with
   | Some fn ->
-      t.stats.mask_evals <- t.stats.mask_evals + 1;
+      Metrics.incr t.mask_evals;
       fn ctx
   | None -> fail "trigger %s: no function for mask m%d" info.Trigger_def.t_name m
 
@@ -478,7 +473,7 @@ let mvcc_read t txn id =
   let l = local t txn in
   match Rid.Tbl.find_opt l.cache id with
   | Some ce ->
-      t.stats.cache_hits <- t.stats.cache_hits + 1;
+      Metrics.incr t.cache_hits;
       Some ce.c_st
   | None -> begin
       let ts, payload = t.store.Store.read_committed txn id in
@@ -488,9 +483,9 @@ let mvcc_read t txn id =
           match Trigger_state.decode payload with
           | Trigger_state.Phoenix _ -> None
           | Trigger_state.State st ->
-              t.stats.cache_misses <- t.stats.cache_misses + 1;
-              t.stats.snapshot_reads <- t.stats.snapshot_reads + 1;
-              if ts >= 0 then t.stats.s_locks_avoided <- t.stats.s_locks_avoided + 1;
+              Metrics.incr t.cache_misses;
+              Metrics.incr t.snapshot_reads;
+              if ts >= 0 then Metrics.incr t.s_locks_avoided;
               Rid.Tbl.replace l.cache id { c_st = st; c_dirty = false; c_read_ts = ts };
               Some st
         end
@@ -509,13 +504,13 @@ let cached_read t txn id =
     let l = local t txn in
     match Rid.Tbl.find_opt l.cache id with
     | Some ce ->
-        t.stats.cache_hits <- t.stats.cache_hits + 1;
+        Metrics.incr t.cache_hits;
         Some ce.c_st
     | None -> begin
         match read_state t txn id with
         | None -> None
         | Some st ->
-            t.stats.cache_misses <- t.stats.cache_misses + 1;
+            Metrics.incr t.cache_misses;
             Rid.Tbl.replace l.cache id { c_st = st; c_dirty = false; c_read_ts = -1 };
             Some st
       end
@@ -527,7 +522,7 @@ let cached_read t txn id =
    and therefore [Would_block]/[Deadlock] behaviour — is identical to the
    eager path. *)
 let write_state t txn id st =
-  t.stats.state_writes <- t.stats.state_writes + 1;
+  Metrics.incr t.state_writes;
   if not t.config.cache then t.store.Store.update txn id (Trigger_state.encode st)
   else begin
     let key = Ode_storage.Lock_manager.Record (t.store.Store.name, id) in
@@ -541,7 +536,7 @@ let write_state t txn id st =
            first-updater-wins, the writer aborts and retries. *)
         if ce.c_read_ts >= 0 then begin
           if t.store.Store.version_ts id <> ce.c_read_ts then begin
-            t.stats.write_conflicts <- t.stats.write_conflicts + 1;
+            Metrics.incr t.write_conflicts;
             raise (Store.Write_conflict { txn = txn.Txn.id; key })
           end;
           ce.c_read_ts <- -1
@@ -595,7 +590,7 @@ let activate ?(anchors = []) t txn ~defining_cls ~trigger ~obj ~obj_cls ~args =
   in
   let id = t.store.Store.insert txn (Trigger_state.encode st) in
   note_lock t Trig_write defining_cls;
-  t.stats.activations <- t.stats.activations + 1;
+  Metrics.incr t.activations;
   Log.debug (fun m ->
       m "activate %s::%s on %a (t%d)" defining_cls trigger Oid.pp obj txn.Txn.id);
   (* A machine whose start state is already a mask state evaluates
@@ -637,7 +632,7 @@ let activate_local t txn ~defining_cls ~trigger ~obj ~obj_cls ~args =
   act.la_state <- settle t ~info ~ctx start;
   let l = local t txn in
   l.local_acts <- act :: l.local_acts;
-  t.stats.local_activations <- t.stats.local_activations + 1
+  Metrics.incr t.local_activations
 
 let find_entry t ~obj ~rid =
   List.find_opt (fun e -> Rid.equal e.e_rid rid) (Obj_index.find_all t.index obj)
@@ -657,7 +652,7 @@ let deactivate t txn id =
           List.iter
             (fun anchor -> journal_index t txn (Idx_remove (anchor, entry)))
             st.Trigger_state.anchors);
-      t.stats.deactivations <- t.stats.deactivations + 1;
+      Metrics.incr t.deactivations;
       Log.debug (fun m -> m "deactivate trigger #%d on %a" st.Trigger_state.triggernum Oid.pp st.Trigger_state.trigobj)
 
 let on_object_deleted t txn obj =
@@ -761,26 +756,26 @@ let route_fire t txn fire =
   in
   match info.Trigger_def.t_coupling with
   | Coupling.Immediate ->
-      t.stats.fires_immediate <- t.stats.fires_immediate + 1;
+      Metrics.incr t.fires_immediate;
       run_action t txn fire;
       deactivate_if_once_only ()
   | Coupling.End ->
-      t.stats.fires_end <- t.stats.fires_end + 1;
+      Metrics.incr t.fires_end;
       let l = local t txn in
       l.end_list <- fire :: l.end_list;
       deactivate_if_once_only ()
   | Coupling.Dependent ->
-      t.stats.fires_dependent <- t.stats.fires_dependent + 1;
+      Metrics.incr t.fires_dependent;
       let l = local t txn in
       l.dep_list <- fire :: l.dep_list;
       deactivate_if_once_only ()
   | Coupling.Independent ->
-      t.stats.fires_independent <- t.stats.fires_independent + 1;
+      Metrics.incr t.fires_independent;
       let l = local t txn in
       l.indep_list <- fire :: l.indep_list;
       deactivate_if_once_only ()
   | Coupling.Phoenix ->
-      t.stats.fires_phoenix <- t.stats.fires_phoenix + 1;
+      Metrics.incr t.fires_phoenix;
       enqueue_phoenix t txn fire;
       (local t txn).enqueued_phoenix <- true;
       deactivate_if_once_only ()
@@ -833,8 +828,8 @@ let advance_locals t txn ~obj ~event ~payload ready =
 let post ?(payload = []) t txn ~obj ~event =
   Log.debug (fun m ->
       m "post %s to %a (t%d)" (Intern.name_of_id t.intern event) Oid.pp obj txn.Txn.id);
-  t.stats.posts <- t.stats.posts + 1;
-  t.stats.index_probes <- t.stats.index_probes + 1;
+  Metrics.incr t.posts;
+  Metrics.incr t.index_probes;
   let ready = ref [] in
   let advance_entry entry =
     (* Fast path: the entry's state mirror plus the machine's per-state
@@ -851,7 +846,7 @@ let post ?(payload = []) t txn ~obj ~event =
          let info = info_of t entry in
          not (Fsm.event_live info.Trigger_def.t_fsm ~state:entry.e_state ~event))
     in
-    if skip then t.stats.index_skips <- t.stats.index_skips + 1
+    if skip then Metrics.incr t.index_skips
     else begin
       (* A certified snapshot-safe trigger advances lock-free: its state
          read resolves against the newest committed version with no S
@@ -1101,27 +1096,4 @@ let phoenix_backlog t =
       | Trigger_state.State _ -> ());
   !count
 
-let stats t = t.stats
-
-let reset_stats t =
-  let s = t.stats in
-  s.posts <- 0;
-  s.index_probes <- 0;
-  s.index_skips <- 0;
-  s.fsm_moves <- 0;
-  s.mask_evals <- 0;
-  s.state_writes <- 0;
-  s.cache_hits <- 0;
-  s.cache_misses <- 0;
-  s.cache_flushes <- 0;
-  s.fires_immediate <- 0;
-  s.fires_end <- 0;
-  s.fires_dependent <- 0;
-  s.fires_independent <- 0;
-  s.fires_phoenix <- 0;
-  s.activations <- 0;
-  s.deactivations <- 0;
-  s.local_activations <- 0;
-  s.snapshot_reads <- 0;
-  s.s_locks_avoided <- 0;
-  s.write_conflicts <- 0
+let metrics t = t.metrics

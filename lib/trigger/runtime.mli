@@ -27,39 +27,6 @@ exception Tabort
 
 exception Trigger_error of string
 
-type stats = {
-  mutable posts : int;
-  mutable index_probes : int;
-  mutable index_skips : int;
-      (** posts proven irrelevant per-activation by the live-event bitset:
-          no store read, no decode, no lock *)
-  mutable fsm_moves : int;
-  mutable mask_evals : int;
-  mutable state_writes : int;  (** logical trigger-state writes *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_flushes : int;
-      (** dirty cached states actually written at commit-prepare; at most
-          one per (transaction, activation) however many times it moved *)
-  mutable fires_immediate : int;
-  mutable fires_end : int;
-  mutable fires_dependent : int;
-  mutable fires_independent : int;
-  mutable fires_phoenix : int;
-  mutable activations : int;
-  mutable deactivations : int;
-  mutable local_activations : int;
-  mutable snapshot_reads : int;
-      (** trigger-state reads served lock-free from the committed
-          versions (certified snapshot-safe advances/firings) *)
-  mutable s_locks_avoided : int;
-      (** of those, reads that would have taken a fresh S lock on the
-          locking path (excludes reads-your-own-writes) *)
-  mutable write_conflicts : int;
-      (** first-updater-wins validation failures
-          ({!Ode_storage.Store.Write_conflict}) *)
-}
-
 type config = {
   filter : bool;  (** skip store access for events proven irrelevant to an
       activation's current FSM state (live-event bitsets in the index) *)
@@ -269,5 +236,18 @@ val lock_free_reads_active : t -> bool
     object-store reads made now should use the lock-free read-committed
     variants (the session layer checks this). *)
 
-val stats : t -> stats
-val reset_stats : t -> unit
+val metrics : t -> Ode_util.Metrics.t
+(** Counters: [posts]; [index_probes] and [index_skips] (posts proven
+    irrelevant per activation by the live-event bitset: no store read, no
+    decode, no lock); [fsm_moves]; [mask_evals]; [state_writes] (logical
+    trigger-state writes); [cache_hits], [cache_misses] and
+    [cache_flushes] (dirty cached states written at commit-prepare: at
+    most one per transaction and activation, however often it moved);
+    [fires_immediate], [fires_end], [fires_dependent],
+    [fires_independent], [fires_phoenix]; [activations],
+    [deactivations], [local_activations]; [snapshot_reads] (trigger-state
+    reads served lock-free from the committed versions by certified
+    snapshot-safe advances and firings); [s_locks_avoided] (of those,
+    reads that would have taken a fresh S lock on the locking path);
+    [write_conflicts] (first-updater-wins validation failures,
+    {!Ode_storage.Store.Write_conflict}). *)

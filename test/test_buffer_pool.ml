@@ -3,11 +3,15 @@
 module Pager = Ode_storage.Pager
 module Page = Ode_storage.Page
 module Buffer_pool = Ode_storage.Buffer_pool
+module Metrics = Ode_util.Metrics
+
+let pool_count pool name = Metrics.get (Buffer_pool.metrics pool) ("pool_" ^ name)
+let page_writes pager = Metrics.get (Pager.metrics pager) "page_writes"
 
 let setup ~capacity ~pages =
   let pager = Pager.create ~page_size:256 () in
   let ids = List.init pages (fun _ -> Pager.alloc pager) in
-  Pager.reset_stats pager;
+  Metrics.reset (Pager.metrics pager);
   let pool = Buffer_pool.create pager ~capacity in
   (pager, pool, Array.of_list ids)
 
@@ -16,9 +20,8 @@ let hits_and_misses () =
   Buffer_pool.with_page pool ids.(0) ~dirty:false (fun _ -> ());
   Buffer_pool.with_page pool ids.(0) ~dirty:false (fun _ -> ());
   Buffer_pool.with_page pool ids.(1) ~dirty:false (fun _ -> ());
-  let stats = Buffer_pool.stats pool in
-  Alcotest.(check int) "hits" 1 stats.Buffer_pool.hits;
-  Alcotest.(check int) "misses" 2 stats.Buffer_pool.misses
+  Alcotest.(check int) "hits" 1 (pool_count pool "hits");
+  Alcotest.(check int) "misses" 2 (pool_count pool "misses")
 
 let lru_eviction_writes_back () =
   let pager, pool, ids = setup ~capacity:2 ~pages:3 in
@@ -28,10 +31,9 @@ let lru_eviction_writes_back () =
       ignore (Page.insert page (Bytes.of_string "dirty")));
   Buffer_pool.with_page pool ids.(1) ~dirty:false (fun _ -> ());
   Buffer_pool.with_page pool ids.(2) ~dirty:false (fun _ -> ());
-  let stats = Buffer_pool.stats pool in
-  Alcotest.(check int) "one eviction" 1 stats.Buffer_pool.evictions;
-  Alcotest.(check int) "one writeback" 1 stats.Buffer_pool.writebacks;
-  Alcotest.(check int) "physical write happened" 1 (Pager.stats pager).Pager.writes;
+  Alcotest.(check int) "one eviction" 1 (pool_count pool "evictions");
+  Alcotest.(check int) "one writeback" 1 (pool_count pool "writebacks");
+  Alcotest.(check int) "physical write happened" 1 (page_writes pager);
   (* Re-faulting page 0 sees the written-back record. *)
   Buffer_pool.with_page pool ids.(0) ~dirty:false (fun page ->
       Alcotest.(check (option string)) "contents survived eviction" (Some "dirty")
@@ -45,16 +47,16 @@ let lru_prefers_cold_pages () =
   Buffer_pool.with_page pool ids.(0) ~dirty:false (fun _ -> ());
   Buffer_pool.with_page pool ids.(2) ~dirty:false (fun _ -> ());
   (* 0 should still be cached (hit), 1 evicted. *)
-  let before = (Buffer_pool.stats pool).Buffer_pool.hits in
+  let before = (pool_count pool "hits") in
   Buffer_pool.with_page pool ids.(0) ~dirty:false (fun _ -> ());
-  Alcotest.(check int) "page 0 still resident" (before + 1) (Buffer_pool.stats pool).Buffer_pool.hits
+  Alcotest.(check int) "page 0 still resident" (before + 1) (pool_count pool "hits")
 
 let drop_all_discards () =
   let pager, pool, ids = setup ~capacity:2 ~pages:1 in
   Buffer_pool.with_page pool ids.(0) ~dirty:true (fun page ->
       ignore (Page.insert page (Bytes.of_string "lost")));
   Buffer_pool.drop_all pool;
-  Alcotest.(check int) "nothing written back" 0 (Pager.stats pager).Pager.writes;
+  Alcotest.(check int) "nothing written back" 0 (page_writes pager);
   (* The page on "disk" is still empty. *)
   Buffer_pool.with_page pool ids.(0) ~dirty:false (fun page ->
       Alcotest.(check int) "crash discarded the dirty frame" 0 (Page.live_slots page))
@@ -64,10 +66,10 @@ let flush_all_keeps_frames () =
   Buffer_pool.with_page pool ids.(0) ~dirty:true (fun page ->
       ignore (Page.insert page (Bytes.of_string "kept")));
   Buffer_pool.flush_all pool;
-  Alcotest.(check int) "written back" 1 (Pager.stats pager).Pager.writes;
-  let before = (Buffer_pool.stats pool).Buffer_pool.hits in
+  Alcotest.(check int) "written back" 1 (page_writes pager);
+  let before = (pool_count pool "hits") in
   Buffer_pool.with_page pool ids.(0) ~dirty:false (fun _ -> ());
-  Alcotest.(check int) "frame still cached" (before + 1) (Buffer_pool.stats pool).Buffer_pool.hits
+  Alcotest.(check int) "frame still cached" (before + 1) (pool_count pool "hits")
 
 (* The intrusive-list rewrite must evict in exact LRU order: victim =
    least recently touched, with every touch (hit or fault) refreshing
@@ -77,14 +79,14 @@ let eviction_order () =
   let _pager, pool, ids = setup ~capacity:2 ~pages:3 in
   let access i = Buffer_pool.with_page pool ids.(i) ~dirty:false (fun _ -> ()) in
   let expect_hit msg i =
-    let before = (Buffer_pool.stats pool).Buffer_pool.hits in
+    let before = (pool_count pool "hits") in
     access i;
-    Alcotest.(check int) msg (before + 1) (Buffer_pool.stats pool).Buffer_pool.hits
+    Alcotest.(check int) msg (before + 1) (pool_count pool "hits")
   in
   let expect_miss msg i =
-    let before = (Buffer_pool.stats pool).Buffer_pool.misses in
+    let before = (pool_count pool "misses") in
     access i;
-    Alcotest.(check int) msg (before + 1) (Buffer_pool.stats pool).Buffer_pool.misses
+    Alcotest.(check int) msg (before + 1) (pool_count pool "misses")
   in
   access 0;
   access 1;
@@ -96,7 +98,7 @@ let eviction_order () =
   (* recency: [0; 2] — faulting 1 must evict 2 *)
   expect_miss "re-fault 1" 1;
   expect_miss "2 was the victim" 2;
-  Alcotest.(check int) "eviction count" 3 (Buffer_pool.stats pool).Buffer_pool.evictions
+  Alcotest.(check int) "eviction count" 3 (pool_count pool "evictions")
 
 (* Differential against a naive list-model LRU over a seeded access
    pattern: same hits, same misses, same victims at every step. *)
@@ -114,18 +116,16 @@ let eviction_order_model () =
                    else if List.length without >= capacity then
                      List.filteri (fun k _ -> k < capacity - 1) without
                    else without);
-    let before = Buffer_pool.stats pool in
-    let hits0 = before.Buffer_pool.hits and misses0 = before.Buffer_pool.misses in
+    let hits0 = pool_count pool "hits" and misses0 = pool_count pool "misses" in
     Buffer_pool.with_page pool ids.(i) ~dirty:false (fun _ -> ());
-    let after = Buffer_pool.stats pool in
     if model_hit then
       Alcotest.(check int)
         (Printf.sprintf "step %d: model hit on %d" step i)
-        (hits0 + 1) after.Buffer_pool.hits
+        (hits0 + 1) (pool_count pool "hits")
     else
       Alcotest.(check int)
         (Printf.sprintf "step %d: model miss on %d" step i)
-        (misses0 + 1) after.Buffer_pool.misses
+        (misses0 + 1) (pool_count pool "misses")
   done
 
 let zero_capacity_rejected () =

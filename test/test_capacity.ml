@@ -94,8 +94,9 @@ let segments_rotate_and_retire () =
     if i mod 6 = 0 then store.Store.checkpoint ()
   done;
   let wal = store.Store.wal in
-  Alcotest.(check bool) "segments sealed" true (Wal.segments_sealed wal > 0);
-  Alcotest.(check bool) "segments retired" true (Wal.segments_retired wal > 0);
+  let count = Ode_util.Metrics.get (Wal.metrics wal) in
+  Alcotest.(check bool) "segments sealed" true (count "segments_sealed" > 0);
+  Alcotest.(check bool) "segments retired" true (count "segments_retired" > 0);
   Alcotest.(check bool) "retirement moved the floor" true (Wal.retired_offset wal > 0);
   Alcotest.(check int) "retained = durable - retired"
     (Wal.durable_size wal - Wal.retired_offset wal)
@@ -224,11 +225,11 @@ let crash_sweep kind () =
   done;
   (* the sweep must actually have exercised the capacity machinery *)
   Alcotest.(check bool) "fulls and deltas both happened" true
-    (List.assoc "ckpt_fulls" (store.Store.counters ()) > 1
-    && List.assoc "ckpt_deltas" (store.Store.counters ()) > 1);
+    (Ode_util.Metrics.get store.Store.metrics "ckpt_fulls" > 1
+    && Ode_util.Metrics.get store.Store.metrics "ckpt_deltas" > 1);
   if kind = `Disk then
     Alcotest.(check bool) "sweep retired segments" true
-      (Wal.segments_retired store.Store.wal > 0);
+      (Ode_util.Metrics.get store.Store.metrics "segments_retired" > 0);
   List.iteri
     (fun i (wal_bytes, want) ->
       let mgr2 = Txn.create_mgr () in
@@ -378,21 +379,21 @@ let maybe_present_probe () =
       Alcotest.(check bool) "deleted rid definitely absent" false
         (store.Store.maybe_present rid))
     doomed;
-  let negatives_before = List.assoc "bloom_negatives" (store.Store.counters ()) in
+  let negatives_before = Ode_util.Metrics.get store.Store.metrics "bloom_negatives" in
   let absent = ref 0 in
   for i = 1_000_000 to 1_000_499 do
     if not (store.Store.maybe_present (Rid.of_int i)) then incr absent
   done;
   Alcotest.(check int) "never-inserted rids absent" 500 !absent;
   Alcotest.(check bool) "most probes answered by the bloom, no lock, no page" true
-    (List.assoc "bloom_negatives" (store.Store.counters ()) - negatives_before >= 400)
+    (Ode_util.Metrics.get store.Store.metrics "bloom_negatives" - negatives_before >= 400)
 
 (* Full anchors with a small committed delta patch the existing bloom
    filter in O(dirty) instead of re-hashing the whole directory. Deleted
    rids stay hashed in until the stale-key budget is blown, at which
    point the next anchor falls back to the full walk and flushes them. *)
 let bloom_incremental_refresh () =
-  let counter (store : Store.t) name = List.assoc name (store.Store.counters ()) in
+  let counter (store : Store.t) name = Ode_util.Metrics.get store.Store.metrics name in
   let mgr = Txn.create_mgr () in
   let store =
     Disk_store.ops

@@ -134,21 +134,22 @@ let volatile_objects_pay_nothing kind () =
   Session.with_txn env (fun txn ->
       ignore (Session.activate env txn card ~trigger:"DenyCredit" ~args:[]));
   Session.reset_counters env;
-  let stats_before = (Runtime.stats (Session.runtime env)).Runtime.posts in
+  let posts () = List.assoc "rt.posts" (Session.counters env) in
+  let stats_before = posts () in
   (* Work on a volatile CredCard: same methods, no events, no transactions,
      no locks. *)
   let vcard = Session.Volatile.vnew env ~cls:"CredCard" ~init:[ ("credLim", Value.Float 10.0) ] () in
   for _ = 1 to 100 do
     ignore (Session.Volatile.invoke env vcard "Buy" [ Value.Null; Value.Float 100.0 ])
   done;
-  let stats_after = (Runtime.stats (Session.runtime env)).Runtime.posts in
+  let stats_after = posts () in
   Alcotest.(check int) "no events posted for volatile objects" stats_before stats_after;
   Alcotest.(check (float 1e-6)) "volatile state updated" 10000.0
     (Value.to_float (Session.Volatile.get vcard "currBal"));
   (* And the volatile object never hit the over-limit trigger. *)
-  let locks = Ode_storage.Lock_manager.stats (Ode_storage.Txn.lock_mgr (Session.mgr env)) in
+  let counter name = List.assoc name (Session.counters env) in
   Alcotest.(check int) "no locks taken" 0
-    (locks.Ode_storage.Lock_manager.s_granted + locks.Ode_storage.Lock_manager.x_granted)
+    (counter "locks.s_granted" + counter "locks.x_granted")
 
 let inheritance kind () =
   let env = setup kind in

@@ -114,7 +114,7 @@ let differential_run ~page_size ~pool_capacity seed rounds =
   if not (Bytes.equal (Wal.durable_bytes mem.Store.wal) (Wal.durable_bytes disk.Store.wal)) then
     Alcotest.fail "durable WAL bytes diverged";
   let logical ops =
-    let counters = ops.Store.counters () in
+    let counters = Ode_util.Metrics.values ops.Store.metrics in
     List.map
       (fun name -> (name, List.assoc name counters))
       [ "inserts"; "reads"; "updates"; "deletes"; "wal_flushes"; "wal_bytes"; "ckpt_fulls";

@@ -64,7 +64,7 @@ let group_ack_deferral () =
   let mgr, store =
     make_store ~durability:(Commit_pipeline.Group { max_batch = 3; max_delay_ticks = 1000 }) ()
   in
-  let flushes () = Wal.flush_count store.Store.wal in
+  let flushes () = Ode_util.Metrics.get store.Store.metrics "wal_flushes" in
   let base = flushes () in
   let t1 = commit_write mgr store "one" in
   let t2 = commit_write mgr store "two" in

@@ -314,8 +314,7 @@ let monitored_class kind () =
   ignore (Session.Volatile.invoke env v "Touch" []);
   Alcotest.(check int) "perpetual, every subsequent pair" 3 (List.length !rang);
   (* Never any persistent trigger machinery. *)
-  let stats = Runtime.stats (Session.runtime env) in
-  Alcotest.(check int) "no runtime posts" 0 stats.Runtime.posts
+  Alcotest.(check int) "no runtime posts" 0 (List.assoc "rt.posts" (Session.counters env))
 
 let monitored_with_masks kind () =
   let env = Session.create ~store:kind () in

@@ -2,6 +2,7 @@
 
 module Lm = Ode_storage.Lock_manager
 module Rid = Ode_storage.Rid
+module Metrics = Ode_util.Metrics
 
 let key i = Lm.Record ("s", Rid.of_int i)
 
@@ -35,7 +36,7 @@ let reentrancy_and_upgrade () =
   check_granted "t1 S k1" (Lm.acquire lm ~txn:1 (key 1) Lm.S);
   check_granted "t2 S k1" (Lm.acquire lm ~txn:2 (key 1) Lm.S);
   check_blocked "t1 upgrade blocked" (Lm.acquire lm ~txn:1 (key 1) Lm.X);
-  Alcotest.(check int) "upgrade counted once so far" 1 (Lm.stats lm).Lm.upgrades
+  Alcotest.(check int) "upgrade counted once so far" 1 (Metrics.get (Lm.metrics lm) "upgrades")
 
 let release_unblocks () =
   let lm = Lm.create () in
@@ -58,7 +59,7 @@ let simple_deadlock () =
   | exception Lm.Deadlock { victim; cycle } ->
       Alcotest.(check int) "victim is requester" 2 victim;
       Alcotest.(check bool) "cycle mentions both" true (List.mem 1 cycle || List.mem 2 cycle));
-  Alcotest.(check int) "deadlock counted" 1 (Lm.stats lm).Lm.deadlocks;
+  Alcotest.(check int) "deadlock counted" 1 (Metrics.get (Lm.metrics lm) "deadlocks");
   (* After the victim backs off (releases), t1 can proceed. *)
   Lm.release_all lm ~txn:2;
   check_granted "t1 gets B" (Lm.acquire lm ~txn:1 (key 1) Lm.X)
@@ -91,19 +92,19 @@ let no_false_deadlock () =
   check_blocked "t2 waits t3" (Lm.acquire lm ~txn:2 (key 0) Lm.X);
   check_granted "t2 B" (Lm.acquire lm ~txn:2 (key 1) Lm.X);
   check_blocked "t1 waits t2" (Lm.acquire lm ~txn:1 (key 1) Lm.X);
-  Alcotest.(check int) "no deadlocks" 0 (Lm.stats lm).Lm.deadlocks
+  Alcotest.(check int) "no deadlocks" 0 (Metrics.get (Lm.metrics lm) "deadlocks")
 
 let stats_counting () =
   let lm = Lm.create () in
   check_granted "" (Lm.acquire lm ~txn:1 (key 0) Lm.S);
   check_granted "" (Lm.acquire lm ~txn:1 (key 1) Lm.X);
   check_granted "" (Lm.acquire lm ~txn:1 (key 0) Lm.X);
-  let s = Lm.stats lm in
-  Alcotest.(check int) "s_granted" 1 s.Lm.s_granted;
-  Alcotest.(check int) "x_granted" 2 s.Lm.x_granted;
-  Alcotest.(check int) "upgrades" 1 s.Lm.upgrades;
-  Lm.reset_stats lm;
-  Alcotest.(check int) "reset" 0 (Lm.stats lm).Lm.s_granted
+  let s = Metrics.get (Lm.metrics lm) in
+  Alcotest.(check int) "s_granted" 1 (s "s_granted");
+  Alcotest.(check int) "x_granted" 2 (s "x_granted");
+  Alcotest.(check int) "upgrades" 1 (s "upgrades");
+  Metrics.reset (Lm.metrics lm);
+  Alcotest.(check int) "reset" 0 (Metrics.get (Lm.metrics lm) "s_granted")
 
 let suite =
   [

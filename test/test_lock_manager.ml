@@ -64,7 +64,7 @@ let upgrade_race () =
   Lm.release_all lm ~txn:2;
   granted "t1 upgrade proceeds" (Lm.acquire lm ~txn:1 (key 0) Lm.X);
   Alcotest.(check bool) "t1 now exclusive" true (Lm.holds lm ~txn:1 (key 0) = Some Lm.X);
-  Alcotest.(check int) "one deadlock counted" 1 (Lm.stats lm).Lm.deadlocks
+  Alcotest.(check int) "one deadlock counted" 1 (Ode_util.Metrics.get (Lm.metrics lm) "deadlocks")
 
 (* Release ordering: t1 holds k0 and k1; t2 waits on k0, t3 on k1, and
    t1 itself waits on t4's k3. Releasing everything at once must unblock
@@ -88,7 +88,7 @@ let release_ordering () =
   (* t4 queues behind the new k0 holder: an ordinary block, and the
      cancelled t1 wait must not have left a deadlock behind. *)
   blocked_by "t4 queues behind t2" [ 2 ] (Lm.acquire lm ~txn:4 (key 0) Lm.X);
-  Alcotest.(check int) "no deadlocks in this schedule" 0 (Lm.stats lm).Lm.deadlocks
+  Alcotest.(check int) "no deadlocks in this schedule" 0 (Ode_util.Metrics.get (Lm.metrics lm) "deadlocks")
 
 (* Three-transaction rotating schedule over three keys: each txn holds
    one key and requests the next; the third request closes the 3-cycle

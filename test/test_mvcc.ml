@@ -262,10 +262,9 @@ let differential kind ~lanes ~rounds () =
           drain_lane lane;
           (* snapshot readers never touched the lock manager: writers take
              only X locks, so S grants must be exactly zero *)
-          let locks = Lock_manager.stats (Txn.lock_mgr lane.mgr) in
           Alcotest.(check int) "zero S locks across the whole run" 0
-            locks.Lock_manager.s_granted;
-          let c = lane.store.Store.counters () in
+            (Ode_util.Metrics.get (Lock_manager.metrics (Txn.lock_mgr lane.mgr)) "s_granted");
+          let c = Ode_util.Metrics.values lane.store.Store.metrics in
           Alcotest.(check bool) "snapshot reads were exercised" true
             (counter c "mvcc.snapshot_reads" > 0);
           Alcotest.(check int) "every snapshot read avoided an S lock"
@@ -301,7 +300,7 @@ let gc_property kind () =
   (* ...across a checkpoint: the GC watermark is the oldest live
      snapshot, so pruning keeps v20 and everything newer. *)
   store.Store.checkpoint ();
-  let c = store.Store.counters () in
+  let c = Ode_util.Metrics.values store.Store.metrics in
   Alcotest.(check bool)
     (Printf.sprintf "pinned snapshot holds the chain open (len %d)" (counter c "mvcc.max_chain_len"))
     true
@@ -314,7 +313,7 @@ let gc_property kind () =
      chain back to a single version. *)
   Txn.commit snap;
   store.Store.checkpoint ();
-  let c = store.Store.counters () in
+  let c = Ode_util.Metrics.values store.Store.metrics in
   Alcotest.(check int) "chains return to length 1" 1 (counter c "mvcc.max_chain_len");
   Alcotest.(check int) "every installed version is accounted for"
     (counter c "mvcc.versions_installed")

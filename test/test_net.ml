@@ -27,6 +27,13 @@ let fresh_addr () =
     (Filename.concat (Filename.get_temp_dir_name ())
        (Printf.sprintf "ode-net-%d-%d.sock" (Unix.getpid ()) !sock_n))
 
+let net_keys =
+  [
+    "net.accepted"; "net.batched_frames"; "net.closed"; "net.conns"; "net.defines";
+    "net.dispatched"; "net.flushes"; "net.frame_errors"; "net.frames_in"; "net.hello_rejects";
+    "net.replies"; "net.shards";
+  ]
+
 (* Run [f client server fleet] against a fresh fleet + server, tearing
    both down afterwards (server first — it posts into the mailboxes). *)
 let with_server ?(k = shards ()) f =
@@ -303,12 +310,33 @@ let api_flows () =
     Client.set_field c ~stream:2 thing "v" (Value.Float 3.5);
     Client.txn_commit c ~stream:2
   end;
-  (* Stats fan in from every shard plus the server's own counters. *)
+  (* Stats fan in from every shard plus the server's own counters. A
+     commit on every shard gives each its own peaks to merge. *)
+  for key = 0 to k - 1 do
+    Client.txn_begin c ~stream:3 ~key;
+    let t = Client.new_obj c ~stream:3 ~cls:"Thing" [ ("v", Value.Float 0.0) ] in
+    Client.set_field c ~stream:3 t "v" (Value.Float 1.0);
+    Client.txn_commit c ~stream:3
+  done;
   let stats = Client.stats c in
   Alcotest.(check bool) "stats carries net.shards" true
     (List.assoc_opt "net.shards" stats = Some k);
-  Alcotest.(check bool) "stats sums shard commits" true
-    (match List.assoc_opt "objects.inserts" stats with Some n -> n > 0 | None -> false);
+  Alcotest.(check (list string)) "stats keys: the session's plus net.*"
+    (List.sort String.compare (Test_counters.session_keys `Mem @ net_keys))
+    (List.map fst stats);
+  (* The fleet is idle once the reply is in: read each shard directly. *)
+  let per_shard key =
+    List.init k (fun i -> List.assoc key (Session.counters (Sharded.session fleet i)))
+  in
+  Alcotest.(check int) "stats sums shard inserts"
+    (List.fold_left ( + ) 0 (per_shard "objects.inserts"))
+    (List.assoc "objects.inserts" stats);
+  List.iter
+    (fun key ->
+      Alcotest.(check int) (key ^ " is the largest shard's")
+        (List.fold_left max 0 (per_shard key))
+        (List.assoc key stats))
+    [ "objects.max_batch_size"; "objects.mvcc.max_chain_len"; "triggers.max_batch_size" ];
   Client.close c
 
 (* ------------------------------------------------------------------ *)

@@ -605,6 +605,54 @@ let recover_keeps_shard_settings () =
   done;
   Sharded.shutdown fleet
 
+(* Sharded.counters merges each key by its kind: counters are summed, a
+   peak is the largest shard's value (no group:16 batch exceeds 16) and
+   the mean batch size is recomputed from the merged sums. *)
+let counters_merge_by_kind () =
+  let k = 2 in
+  let schema ~shard:_ s = define_schema ~logf:ignore s in
+  let fleet =
+    Sharded.create ~durability:(Cp.Group { max_batch = 16; max_delay_ticks = 64 }) ~shards:k
+      ~mode:Sharded.Deterministic ~schema ()
+  in
+  let oids = Array.make k None in
+  for s = 0 to k - 1 do
+    Sharded.submit fleet ~key:s (fun ctx txn -> setup_body ctx.Sharded.session oids s txn)
+  done;
+  Sharded.barrier fleet;
+  for r = 1 to 48 do
+    for s = 0 to k - 1 do
+      Sharded.submit fleet ~key:s (fun ctx txn ->
+          ignore
+            (Session.invoke ctx.Sharded.session txn (Option.get oids.(s)) "Dep"
+               [ Value.Float (float_of_int r) ]))
+    done;
+    Sharded.barrier fleet
+  done;
+  Sharded.sync fleet;
+  let counters = Sharded.counters fleet in
+  let merged key = List.assoc key counters in
+  let per_shard key =
+    List.init k (fun i -> List.assoc key (Session.counters (Sharded.session fleet i)))
+  in
+  let sum key = List.fold_left ( + ) 0 (per_shard key) in
+  let largest key = List.fold_left max 0 (per_shard key) in
+  Alcotest.(check int) "counters are summed" (sum "objects.flushed_commits")
+    (merged "objects.flushed_commits");
+  Alcotest.(check (list int)) "every shard filled a batch" [ 16; 16 ]
+    (per_shard "objects.max_batch_size");
+  Alcotest.(check int) "max_batch_size is the largest shard's" 16 (merged "objects.max_batch_size");
+  let flushed = merged "objects.flushed_commits" and flushes = merged "objects.batch_flushes" in
+  Alcotest.(check int) "avg_batch_size from the merged sums"
+    (Float.to_int (Float.round (float_of_int flushed /. float_of_int flushes)))
+    (merged "objects.avg_batch_size");
+  Alcotest.(check bool) "chains grew on every shard" true
+    (List.for_all (fun n -> n > 40) (per_shard "objects.mvcc.max_chain_len"));
+  Alcotest.(check int) "mvcc.max_chain_len is the largest shard's"
+    (largest "objects.mvcc.max_chain_len")
+    (merged "objects.mvcc.max_chain_len");
+  Sharded.shutdown fleet
+
 let suite =
   [
     Alcotest.test_case "deterministic differential vs sequential reference" `Quick differential;
@@ -613,4 +661,5 @@ let suite =
     Alcotest.test_case "intern snapshot handshake" `Quick intern_handshake;
     Alcotest.test_case "fleet crash sweep at every WAL-flush point" `Quick fleet_crash_sweep;
     Alcotest.test_case "recovery keeps every shard's settings" `Quick recover_keeps_shard_settings;
+    Alcotest.test_case "counters merge by kind" `Quick counters_merge_by_kind;
   ]

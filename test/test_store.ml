@@ -250,12 +250,13 @@ let iter_cache_invalidation kind () =
 
 let wal_flush_on_commit kind () =
   let mgr, store = make_store kind in
-  let flushes_before = Ode_storage.Wal.flush_count store.Store.wal in
+  let flushes () = Ode_util.Metrics.get store.Store.metrics "wal_flushes" in
+  let flushes_before = flushes () in
   let txn = Txn.begin_txn mgr in
   ignore (store.Store.insert txn (b "x"));
   Txn.commit txn;
   Alcotest.(check bool) "commit forces the log" true
-    (Ode_storage.Wal.flush_count store.Store.wal > flushes_before)
+    (flushes () > flushes_before)
 
 let both label f = [
   Alcotest.test_case (label ^ " (mem)") `Quick (f `Mem);

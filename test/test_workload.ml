@@ -86,7 +86,7 @@ let dependency_commit_ok () =
   store.Store.update t2 rid (b "y");
   Txn.add_dependency t2 ~on:t1;
   Txn.commit t2;
-  Alcotest.(check int) "both committed" 2 (Txn.stats mgr).Txn.committed
+  Alcotest.(check int) "both committed" 2 (Ode_util.Metrics.get (Txn.metrics mgr) "committed")
 
 let dependency_abort_propagates () =
   let mgr, store = setup () in
