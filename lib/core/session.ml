@@ -148,7 +148,7 @@ let intern t = t.intern
    ≡ index (mod count), so [oid mod count] names an object's home shard
    — the {!Ode_parallel} partitioning rule. The trigger store's rids are
    shard-local (never routed), so it stays unstrided. *)
-let build ?faults ?intern settings wals =
+let build ?faults settings wals =
   let mgr = Txn.create_mgr () in
   let faults = match faults with Some f -> f | None -> Faults.create () in
   let storage = settings.storage in
@@ -175,7 +175,7 @@ let build ?faults ?intern settings wals =
     | None -> Database.create ~mgr ~store:obj_store ~name:"main"
     | Some _ -> Database.open_existing ~mgr ~store:obj_store ~name:"main"
   in
-  let intern = match intern with Some i -> i | None -> Intern.create () in
+  let intern = Intern.create () in
   let rt = Runtime.create ~config:settings.engine ~mgr ~intern ~store:trig_store () in
   let metrics = Metrics.create () in
   List.iter
@@ -206,7 +206,7 @@ let build ?faults ?intern settings wals =
   }
 
 let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-    ?durability ?faults ?(shard = (0, 1)) ?intern ?(engine = Runtime.default_config)
+    ?durability ?faults ?(shard = (0, 1)) ?(engine = Runtime.default_config)
     ?wal_segment_bytes ?ckpt_full_every ?auto_checkpoint_bytes () =
   let d = Settings.default in
   let pick v default = Option.value v ~default in
@@ -223,7 +223,7 @@ let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush
       auto_checkpoint_bytes = pick auto_checkpoint_bytes d.auto_checkpoint_bytes;
     }
   in
-  build ?faults ?intern { kind = store; storage; engine; shard } None
+  build ?faults { kind = store; storage; engine; shard } None
 
 (* Drain both stores' group-commit pipelines: force any queued batches and
    resolve every deferred durability ack. Each pipeline is independent, so
@@ -771,8 +771,8 @@ let post_event ?(args = []) t txn oid ename =
 
 (* Post by pre-interned global id — how {!Ode_parallel} applies a sealed
    cross-shard envelope: the origin shard resolved the name against its
-   own class table, and the intern snapshot guarantees the id means the
-   same event here. *)
+   own class table, and the fleet's intern-snapshot check guarantees the
+   id means the same event here. *)
 let post_event_id ?(args = []) t txn oid ~event =
   ignore (class_of t txn oid);
   Runtime.post ~payload:args t.rt txn ~obj:oid ~event
@@ -1133,7 +1133,7 @@ let report_of_image image =
   let tail wal_bytes = Recovery.truncated_tail (Wal.decode_records wal_bytes) in
   { rr_obj_tail = tail image.ci_obj_wal; rr_trig_tail = tail image.ci_trig_wal }
 
-let recover ?durability ?faults ?intern ?wal_segment_bytes ?ckpt_full_every
+let recover ?durability ?faults ?wal_segment_bytes ?ckpt_full_every
     ?auto_checkpoint_bytes image =
   let s = image.ci_settings.storage in
   let pick v default = Option.value v ~default in
@@ -1147,7 +1147,7 @@ let recover ?durability ?faults ?intern ?wal_segment_bytes ?ckpt_full_every
     }
   in
   let t =
-    build ?faults ?intern { image.ci_settings with storage }
+    build ?faults { image.ci_settings with storage }
       (Some (image.ci_obj_wal, image.ci_trig_wal))
   in
   let txn = Txn.begin_txn ~system:true t.mgr in

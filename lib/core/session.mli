@@ -103,7 +103,6 @@ val create :
   ?durability:Ode_storage.Commit_pipeline.mode ->
   ?faults:Ode_storage.Faults.t ->
   ?shard:int * int ->
-  ?intern:Ode_event.Intern.t ->
   ?engine:Ode_trigger.Runtime.config ->
   ?wal_segment_bytes:int ->
   ?ckpt_full_every:int ->
@@ -134,10 +133,8 @@ val create :
     [faults] is a fault-injection plane ({!Ode_storage.Faults}) shared by
     {e both} disk stores, giving the whole environment one global
     I/O-point numbering; ignored for [`Mem] (which performs no simulated
-    I/O). Default: a fresh inert plane. [intern] seeds the environment's
-    event-intern table (normally {!Ode_event.Intern.of_snapshot} of
-    shard 0's table) so global event ids agree across shards without
-    locking. Neither is a setting: a crash image keeps neither. *)
+    I/O). Default: a fresh inert plane. It is not a setting: a crash
+    image does not keep it. *)
 
 val settings : t -> settings
 (** The settings the environment was created (or recovered) with. *)
@@ -296,8 +293,8 @@ val post_event : ?args:Value.t list -> t -> Txn.t -> Oid.t -> string -> unit
 
 val post_event_id : ?args:Value.t list -> t -> Txn.t -> Oid.t -> event:int -> unit
 (** Post by pre-interned global event id — how {!Ode_parallel} applies a
-    sealed cross-shard envelope. The id must come from the same intern
-    snapshot this environment was seeded with. *)
+    sealed cross-shard envelope. The id must come from an environment
+    whose intern snapshot equals this one's (the fleet checks this). *)
 
 val post_event_fast : ?args:Value.t list -> t -> Txn.t -> Oid.t -> event:int -> unit
 (** Like {!post_event_id}, but first consults the object store's
@@ -433,7 +430,6 @@ val crash : t -> crash_image
 val recover :
   ?durability:Ode_storage.Commit_pipeline.mode ->
   ?faults:Ode_storage.Faults.t ->
-  ?intern:Ode_event.Intern.t ->
   ?wal_segment_bytes:int ->
   ?ckpt_full_every:int ->
   ?auto_checkpoint_bytes:int ->
@@ -451,7 +447,7 @@ val recover :
     shard striding. [durability], [wal_segment_bytes], [ckpt_full_every]
     and [auto_checkpoint_bytes] override the image's value when given.
     [faults] arms a fault plane on the recovered environment (default:
-    inert); [intern] is as in {!create}. *)
+    inert). *)
 
 type recovery_report = { rr_obj_tail : int; rr_trig_tail : int }
 (** What {!recover} dropped, per store: the count of WAL records after

@@ -44,11 +44,11 @@ val metrics : t -> Ode_util.Metrics.t
     for T2); gauge [events] ({!count}). *)
 
 type snapshot = ((string * basic) * int) list
-(** A full id assignment, sorted by id — the {!Ode_parallel} shard
-    handshake: shard 0 defines the schema and snapshots its table; the
-    other shards start from {!of_snapshot} so global event ids agree
-    across shards without locking (replaying the same definitions in the
-    same order then re-finds, never re-assigns). *)
+(** A full id assignment, sorted by id — the {!Ode_parallel} agreement
+    check: every shard defines the schema on a fresh table, concurrently,
+    and the same definitions in the same order assign the same ids; the
+    fleet compares each shard's snapshot with shard 0's once all are
+    built, so global ids agree without a shared table or a lock. *)
 
 val snapshot : t -> snapshot
 

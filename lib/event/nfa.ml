@@ -79,18 +79,6 @@ let reachable t =
   in
   visit t.start IntSet.empty
 
-let coreachable t =
-  let preds = Array.make t.nstates [] in
-  Array.iteri (fun src dsts -> List.iter (fun dst -> preds.(dst) <- src :: preds.(dst)) dsts) t.eps;
-  Array.iteri
-    (fun src edges -> List.iter (fun (_, dst) -> preds.(dst) <- src :: preds.(dst)) edges)
-    t.edges;
-  let rec visit state acc =
-    if IntSet.mem state acc then acc
-    else List.fold_left (fun acc prev -> visit prev acc) (IntSet.add state acc) preds.(state)
-  in
-  visit t.accept IntSet.empty
-
 let pending_masks t set =
   let masks =
     IntSet.fold

@@ -56,7 +56,3 @@ val reachable : t -> IntSet.t
 (** States reachable from [start] over epsilon and labelled edges — a
     graph over-approximation (it ignores guard consistency), which is the
     safe direction for pruning. *)
-
-val coreachable : t -> IntSet.t
-(** States from which [accept] is reachable over epsilon and labelled
-    edges (same over-approximation as {!reachable}). *)

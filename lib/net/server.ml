@@ -150,7 +150,7 @@ type t = {
 
 (* ---------------- reply plumbing (any domain) ---------------- *)
 
-let wake t = try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1) with _ -> ()
+let wake t = try ignore (Unix.write_substring t.wake_w "!" 0 1) with _ -> ()
 
 let enqueue_reply conn ~sync reply =
   let b = P.encode_reply ~sync reply in
@@ -305,7 +305,7 @@ let run_define t (j : define_job) =
     ~each:(fun shard session ->
       (* Deterministic replay: every shard loads the same source against an
          identical schema, so intern tables stay identical — the wire-time
-         analogue of [Sharded.create]'s schema handshake. *)
+         analogue of [Sharded.create]'s concurrent schema definition. *)
       match Opp.load ~on_missing:`Stub session ~bindings:t.bindings j.dj_source with
       | ns ->
           Mutex.lock mu;

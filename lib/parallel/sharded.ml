@@ -33,11 +33,13 @@
      directly shard-to-shard through the unbounded forward lane.
      Maximum throughput, no cross-shard ordering promise.
 
-   Event-id agreement: shard 0 defines the schema first; its intern
-   table is snapshotted and every other shard starts from that snapshot
-   ([Intern.of_snapshot]), then replays the same schema definition —
-   global event ids agree across shards without a shared table or a
-   lock, checked by comparing snapshots. *)
+   Construction and recovery build the K shards concurrently: each shard
+   makes its session and runs the schema callback (which may capture only
+   per-shard or synchronised mutable state) with its own intern table, on
+   a builder domain (shard 0 on the caller's). Event ids agree because the
+   schema defines the same classes in the same order on every shard
+   (eventRep assigns the next dense id to an unseen pair, §5.2); the
+   snapshots are compared once every shard is built. *)
 
 module Session = Ode.Session
 module Oid = Ode_objstore.Oid
@@ -327,27 +329,35 @@ let assemble_fleet ~mode ~mailbox_capacity sessions =
   t.domains <- Array.map (fun sh -> Domain.spawn (fun () -> worker_loop t sh)) shards;
   t
 
-(* Define the schema on every shard from one deterministic intern
-   snapshot, and fail loudly if any shard's replay diverged. *)
-let seeded_schema ~k ~schema ~make =
-  let s0 = make 0 None in
-  schema ~shard:0 s0;
-  let snap = Intern.snapshot (Session.intern s0) in
-  let sessions =
-    Array.init k (fun i ->
-        if i = 0 then s0
-        else begin
-          let s = make i (Some (Intern.of_snapshot snap)) in
-          schema ~shard:i s;
-          if not (Intern.equal_snapshot (Intern.snapshot (Session.intern s)) snap) then
-            invalid_arg
-              (Printf.sprintf
-                 "Ode_parallel: shard %d interned a different event-id assignment than shard 0 \
-                  (schema must be identical across shards)"
-                 i);
-          s
-        end)
+(* [make i] then [schema ~shard:i] for every shard at once (see the
+   header). Every builder is joined before the lowest shard's failure is
+   re-raised, so none is left running; only then are the intern
+   snapshots compared. *)
+let build_shards ~k ~schema ~make =
+  let build i () =
+    let s = make i in
+    schema ~shard:i s;
+    s
   in
+  let spawn i =
+    match Domain.spawn (build i) with
+    | d -> fun () -> Domain.join d
+    | exception e -> fun () -> raise e
+  in
+  let attempt step = try Ok (step ()) with e -> Error (e, Printexc.get_raw_backtrace ()) in
+  let sessions =
+    Array.map attempt (Array.init k (fun i -> if i = 0 then build 0 else spawn i))
+    |> Array.map (function Ok s -> s | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+  in
+  let snap = Intern.snapshot (Session.intern sessions.(0)) in
+  sessions
+  |> Array.iteri (fun i s ->
+         if not (Intern.equal_snapshot (Intern.snapshot (Session.intern s)) snap) then
+           invalid_arg
+             (Printf.sprintf
+                "Ode_parallel: shard %d interned a different event-id assignment than shard 0 \
+                 (schema must define the same classes in the same order on every shard)"
+                i));
   sessions
 
 let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
@@ -355,13 +365,13 @@ let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush
     ?ckpt_full_every ?auto_checkpoint_bytes ~shards ~mode ~schema () =
   if shards < 1 then invalid_arg "Sharded.create: shards must be >= 1";
   let k = shards in
-  let make i intern =
+  let make i =
     let faults = match shard_faults with Some f -> f i | None -> Faults.create () in
     Session.create ~store ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-      ?durability ~faults ~shard:(i, k) ?intern ?engine ?wal_segment_bytes ?ckpt_full_every
+      ?durability ~faults ~shard:(i, k) ?engine ?wal_segment_bytes ?ckpt_full_every
       ?auto_checkpoint_bytes ()
   in
-  assemble_fleet ~mode ~mailbox_capacity (seeded_schema ~k ~schema ~make)
+  assemble_fleet ~mode ~mailbox_capacity (build_shards ~k ~schema ~make)
 
 (* ---------------- routing ---------------- *)
 
@@ -514,11 +524,11 @@ let recover ?durability ?(mailbox_capacity = 256) ?wal_segment_bytes ?ckpt_full_
     ?auto_checkpoint_bytes ~mode ~schema img =
   let k = Array.length img.fl_images in
   if k < 1 then invalid_arg "Sharded.recover: empty fleet image";
-  let make i intern =
-    Session.recover ?durability ?intern ?wal_segment_bytes ?ckpt_full_every
-      ?auto_checkpoint_bytes img.fl_images.(i)
+  let make i =
+    Session.recover ?durability ?wal_segment_bytes ?ckpt_full_every ?auto_checkpoint_bytes
+      img.fl_images.(i)
   in
-  assemble_fleet ~mode ~mailbox_capacity (seeded_schema ~k ~schema ~make)
+  assemble_fleet ~mode ~mailbox_capacity (build_shards ~k ~schema ~make)
 
 (* ---------------- statistics ---------------- *)
 

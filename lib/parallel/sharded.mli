@@ -64,12 +64,15 @@ val create :
   schema:(shard:int -> Session.t -> unit) ->
   unit ->
   t
-(** Build a K-shard fleet. [schema] must define the identical classes on
-    every shard (it runs once per shard; shard 0 first, whose intern
-    snapshot seeds the rest — a divergent replay raises
-    [Invalid_argument]). [shard_faults] supplies each shard's private
-    fault-injection plane (default: inert planes) — the fleet-crash
-    harness arms exactly one of them. Session parameters, including the
+(** Build a K-shard fleet. Shards are built concurrently: [schema] runs
+    once per shard on a builder domain (shard 0's on the caller's), and
+    may capture only per-shard or synchronised mutable state. It must
+    define the same classes in the same order on every shard; a divergent
+    event-id assignment raises [Invalid_argument] once every shard is
+    built. If callbacks raise, the lowest shard's exception is re-raised
+    once every builder is joined. [shard_faults] supplies each shard's
+    private fault-injection plane (default: inert planes) — the
+    fleet-crash harness arms exactly one of them. Session parameters, including the
     capacity knobs ([wal_segment_bytes], [ckpt_full_every],
     [auto_checkpoint_bytes], see {!Session.create}), are forwarded to
     every shard's {!Session.create}. *)
@@ -165,8 +168,8 @@ val recover :
 (** Rebuild all K shards from a fleet image: each shard's stores are
     recovered from its WAL prefixes with the settings it crashed with,
     including its (i, K) striding ({!Session.recover}); the labels
-    override the image's value on every shard. The schema is replayed
-    per shard (same intern handshake as {!create}), and fresh worker
+    override the image's value on every shard. Shards recover and run
+    [schema] concurrently, under {!create}'s contract, and fresh worker
     domains are spawned. *)
 
 (* ---------------- statistics ---------------- *)

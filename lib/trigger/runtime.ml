@@ -826,8 +826,9 @@ let advance_locals t txn ~obj ~event ~payload ready =
 (* PostEvent (§5.4.5). *)
 
 let post ?(payload = []) t txn ~obj ~event =
-  Log.debug (fun m ->
-      m "post %s to %a (t%d)" (Intern.name_of_id t.intern event) Oid.pp obj txn.Txn.id);
+  if Logs.Src.level src = Some Logs.Debug then (* no message closure per post *)
+    Log.debug (fun m ->
+        m "post %s to %a (t%d)" (Intern.name_of_id t.intern event) Oid.pp obj txn.Txn.id);
   Metrics.incr t.posts;
   Metrics.incr t.index_probes;
   let ready = ref [] in

@@ -387,7 +387,27 @@ let latencies_recorded () =
   Sharded.shutdown fleet
 
 (* ------------------------------------------------------------------ *)
-(* Intern snapshot handshake. *)
+(* Event-id agreement. Shards are built concurrently, each on a fresh
+   intern table; the fleet compares every shard's snapshot with shard 0's
+   once all are built. *)
+
+let plain_schema ~shard:_ s = define_schema ~logf:ignore s
+
+let crashed_image k =
+  Sharded.crash (Sharded.create ~shards:k ~mode:Sharded.Deterministic ~schema:plain_schema ())
+
+(* [schema] is rejected with [Invalid_argument] by both create and
+   recover. *)
+let rejected what schema =
+  let check side build =
+    match build () with
+    | fleet ->
+        Sharded.shutdown fleet;
+        Alcotest.failf "%s accepted by %s" what side
+    | exception Invalid_argument _ -> ()
+  in
+  check "create" (fun () -> Sharded.create ~shards:2 ~mode:Sharded.Deterministic ~schema ());
+  check "recover" (fun () -> Sharded.recover ~mode:Sharded.Deterministic ~schema (crashed_image 2))
 
 let intern_handshake () =
   let env = Session.create () in
@@ -396,20 +416,82 @@ let intern_handshake () =
   Alcotest.(check bool) "snapshot non-empty" true (snap <> []);
   Alcotest.(check bool) "of_snapshot round-trips" true
     (Intern.equal_snapshot snap (Intern.snapshot (Intern.of_snapshot snap)));
-  (* A recovered fleet must agree with what a fresh shard 0 interns. *)
-  match
-    Sharded.create ~shards:2 ~mode:Sharded.Deterministic
-      ~schema:(fun ~shard s ->
-        if shard = 1 then
-          (* A shard-local extra class steals event ids: divergent. *)
-          Session.define_class s ~name:"Rogue" ~events:[ Dsl.user_event "X" ] ();
-        define_schema ~logf:ignore s)
-      ()
-  with
-  | fleet ->
-      Sharded.shutdown fleet;
-      Alcotest.fail "divergent per-shard schema accepted"
-  | exception Invalid_argument _ -> ()
+  rejected "a shard-local extra class" (fun ~shard s ->
+      (* The Rogue class steals event ids on shard 1 only. *)
+      if shard = 1 then Session.define_class s ~name:"Rogue" ~events:[ Dsl.user_event "X" ] ();
+      define_schema ~logf:ignore s)
+
+(* The same classes in another order on shard 1 assign other ids: every
+   table numbers events by first sight. *)
+let reordered_schema_rejected () =
+  let other s = Session.define_class s ~name:"Other" ~events:[ Dsl.user_event "Y" ] () in
+  rejected "a reordered schema" (fun ~shard s ->
+      if shard = 1 then begin
+        other s;
+        define_schema ~logf:ignore s
+      end
+      else begin
+        define_schema ~logf:ignore s;
+        other s
+      end)
+
+(* A raising schema callback is re-raised by create and recover only
+   after every builder is joined: the other shards' callbacks, which
+   sleep first, have all finished by then. Repeated, then a normal fleet
+   is built, so leaked builder domains would show. *)
+let builder_failure_reraised () =
+  let k = 4 in
+  let image = crashed_image k in
+  let attempt ~failing side build =
+    let what = Printf.sprintf "%s, shard %d raises" side failing in
+    let finished = Atomic.make 0 in
+    let schema ~shard s =
+      if shard = failing then failwith "schema failed";
+      Unix.sleepf 0.002;
+      define_schema ~logf:ignore s;
+      Atomic.incr finished
+    in
+    (match build schema with
+    | fleet ->
+        Sharded.shutdown fleet;
+        Alcotest.failf "%s: fleet built" what
+    | exception Failure m -> Alcotest.(check string) (what ^ ": re-raised") "schema failed" m);
+    Alcotest.(check int) (what ^ ": every other builder joined") (k - 1) (Atomic.get finished)
+  in
+  for _ = 1 to 20 do
+    List.iter
+      (fun failing ->
+        attempt ~failing "create" (fun schema ->
+            Sharded.create ~shards:k ~mode:Sharded.Deterministic ~schema ());
+        attempt ~failing "recover" (fun schema ->
+            Sharded.recover ~mode:Sharded.Deterministic ~schema image))
+      [ 0; k - 1 ]
+  done;
+  Sharded.shutdown (Sharded.create ~shards:k ~mode:Sharded.Deterministic ~schema:plain_schema ())
+
+(* At K=4 every shard's callback runs on a domain of its own, shard 0's
+   on the caller's. *)
+let shards_build_on_own_domains () =
+  let k = 4 in
+  let check side build =
+    let seen = Array.make k (-1) in
+    let schema ~shard s =
+      seen.(shard) <- (Domain.self () :> int);
+      define_schema ~logf:ignore s
+    in
+    let fleet = build schema in
+    Alcotest.(check int) (side ^ ": shard 0 on the caller's domain") (Domain.self () :> int)
+      seen.(0);
+    Alcotest.(check int) (side ^ ": one domain per shard") k
+      (List.length (List.sort_uniq compare (Array.to_list seen)));
+    fleet
+  in
+  let fleet =
+    check "create" (fun schema -> Sharded.create ~shards:k ~mode:Sharded.Deterministic ~schema ())
+  in
+  let image = Sharded.crash fleet in
+  Sharded.shutdown
+    (check "recover" (fun schema -> Sharded.recover ~mode:Sharded.Deterministic ~schema image))
 
 (* ------------------------------------------------------------------ *)
 (* Fleet crash sweep (Crashlab-style): K=2 disk-backed shards, one
@@ -659,6 +741,9 @@ let suite =
     Alcotest.test_case "free mode drains and accounts" `Quick free_mode_drains;
     Alcotest.test_case "per-task latencies recorded" `Quick latencies_recorded;
     Alcotest.test_case "intern snapshot handshake" `Quick intern_handshake;
+    Alcotest.test_case "reordered schema rejected" `Quick reordered_schema_rejected;
+    Alcotest.test_case "builder failure re-raised after join" `Quick builder_failure_reraised;
+    Alcotest.test_case "shards build on their own domains" `Quick shards_build_on_own_domains;
     Alcotest.test_case "fleet crash sweep at every WAL-flush point" `Quick fleet_crash_sweep;
     Alcotest.test_case "recovery keeps every shard's settings" `Quick recover_keeps_shard_settings;
     Alcotest.test_case "counters merge by kind" `Quick counters_merge_by_kind;
