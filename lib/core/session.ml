@@ -698,23 +698,21 @@ let posting_plan t ~cls mname =
 (* ------------------------------------------------------------------ *)
 (* Persistent object operations. *)
 
-(* Object dereference for reads: inside a certified snapshot-safe firing
-   the lock-free read-committed variant is used — no S lock, and the
-   (suppressed) read note keeps the observed S set empty. *)
-let get_record t txn oid =
-  if Runtime.lock_free_reads_active t.rt then Database.get_committed t.db txn oid
-  else Database.get t.db txn oid
+(* One store read of the object's record bytes: inside a certified
+   snapshot-safe firing the lock-free read-committed variant is used — no
+   S lock, and the (suppressed) read note keeps the observed S set
+   empty. *)
+let payload t txn oid =
+  Database.payload t.db txn oid ~committed:(Runtime.lock_free_reads_active t.rt)
 
-let class_of t txn oid =
-  let cls = (get_record t txn oid).Objrec.cls in
-  (* S lock on the object's record: visible to validation frames (no-op
-     and no lock on the lock-free path). *)
+(* The S lock on the object's record, visible to validation frames (no-op
+   and no lock on the lock-free path). *)
+let note_read t payload =
+  let cls = Objrec.cls_of_payload payload in
   Runtime.note_object_access t.rt ~cls ~write:false;
   cls
 
-let note_access t txn oid =
-  let cls = class_of t txn oid in
-  Runtime.note_access t.rt txn ~obj:oid ~cls
+let class_of t txn oid = note_read t (payload t txn oid)
 
 let pnew t txn ~cls ?(init = []) () =
   let entry = class_entry t cls in
@@ -756,8 +754,9 @@ let pdelete t txn oid =
 let exists t txn oid = Database.exists t.db txn oid
 
 let get_field t txn oid field =
-  note_access t txn oid;
-  Objrec.get (get_record t txn oid) field
+  let payload = payload t txn oid in
+  Runtime.note_access t.rt txn ~obj:oid ~cls:(note_read t payload);
+  Objrec.field_of_payload payload field
 
 let set_field t txn oid field v =
   let cls = class_of t txn oid in
@@ -812,7 +811,7 @@ and persistent_ctx t txn oid ~cls =
     get =
       (fun field ->
         Runtime.note_object_access t.rt ~cls ~write:false;
-        Objrec.get (get_record t txn oid) field);
+        Objrec.field_of_payload (payload t txn oid) field);
     set =
       (fun field v ->
         Runtime.note_object_access t.rt ~cls ~write:true;

@@ -111,8 +111,7 @@ let open_existing ~mgr ~store ~name =
   let t = create ~mgr ~store ~name in
   let txn = Txn.begin_txn ~system:true ~snapshot:true mgr in
   store.Store.iter txn (fun rid payload ->
-      let record = Objrec.decode payload in
-      let r = cluster_ref t record.Objrec.cls in
+      let r = cluster_ref t (Objrec.cls_of_payload payload) in
       r := Oid.Set.add (Oid.of_rid rid) !r);
   Txn.commit txn;
   t
@@ -129,61 +128,63 @@ let pnew t txn record =
     (indexes_for t record.Objrec.cls);
   oid
 
-let get_opt t txn oid =
-  match t.store.Store.read txn (Oid.to_rid oid) with
-  | None -> None
-  | Some payload -> Some (Objrec.decode payload)
+(* The lock-free read-committed variant (certified snapshot-safe trigger
+   cascades) reads the newest committed version, or the in-place state
+   when [txn] already holds the record's lock, and takes no S lock. *)
+let payload t txn oid ~committed =
+  let rid = Oid.to_rid oid in
+  let read =
+    if committed then snd (t.store.Store.read_committed txn rid) else t.store.Store.read txn rid
+  in
+  match read with Some payload -> payload | None -> raise (No_such_object oid)
 
-let get t txn oid =
-  match get_opt t txn oid with Some record -> record | None -> raise (No_such_object oid)
+let get_opt t txn oid = Option.map Objrec.decode (t.store.Store.read txn (Oid.to_rid oid))
 
-(* Lock-free read-committed dereference (certified snapshot-safe trigger
-   cascades): newest committed version, or the in-place state when [txn]
-   already holds the record's lock. No S lock is taken. *)
-let get_committed_opt t txn oid =
-  match snd (t.store.Store.read_committed txn (Oid.to_rid oid)) with
-  | None -> None
-  | Some payload -> Some (Objrec.decode payload)
-
-let get_committed t txn oid =
-  match get_committed_opt t txn oid with
-  | Some record -> record
-  | None -> raise (No_such_object oid)
+let get t txn oid = Objrec.decode (payload t txn oid ~committed:false)
 
 let pdelete t txn oid =
-  let record = get t txn oid in
+  let current = payload t txn oid ~committed:false in
+  let cls = Objrec.cls_of_payload current in
   t.store.Store.delete txn (Oid.to_rid oid);
-  note_change t txn (Removed (record.Objrec.cls, oid));
+  note_change t txn (Removed (cls, oid));
   List.iter
-    (fun ix -> note_change t txn (Ix_removed (ix, Objrec.get record ix.ix_field, oid)))
-    (indexes_for t record.Objrec.cls)
+    (fun ix -> note_change t txn (Ix_removed (ix, Objrec.field_of_payload current ix.ix_field, oid)))
+    (indexes_for t cls)
 
-let put t txn oid record =
-  let current = get t txn oid in
-  if not (String.equal current.Objrec.cls record.Objrec.cls) then
-    invalid_arg
-      (Printf.sprintf "Database.put: class change %s -> %s for %s" current.Objrec.cls
-         record.Objrec.cls (Oid.to_string oid));
-  t.store.Store.update txn (Oid.to_rid oid) (Objrec.encode record);
+(* Replace [current]'s bytes by [updated] and move the object in the
+   indexes whose key changed. *)
+let write_back t txn oid ~cls ~current updated ~key =
+  t.store.Store.update txn (Oid.to_rid oid) updated;
   List.iter
     (fun ix ->
-      let old_key = Objrec.get current ix.ix_field in
-      let new_key = Objrec.get record ix.ix_field in
+      let old_key = Objrec.field_of_payload current ix.ix_field in
+      let new_key = key ix.ix_field in
       if not (Value.equal old_key new_key) then begin
         note_change t txn (Ix_removed (ix, old_key, oid));
         note_change t txn (Ix_added (ix, new_key, oid))
       end)
-    (indexes_for t record.Objrec.cls)
+    (indexes_for t cls)
 
-let get_field t txn oid field = Objrec.get (get t txn oid) field
+let put t txn oid record =
+  let current = payload t txn oid ~committed:false in
+  let cls = Objrec.cls_of_payload current in
+  if not (String.equal cls record.Objrec.cls) then
+    invalid_arg
+      (Printf.sprintf "Database.put: class change %s -> %s for %s" cls record.Objrec.cls
+         (Oid.to_string oid));
+  write_back t txn oid ~cls ~current (Objrec.encode record) ~key:(Objrec.get record)
+
+let get_field t txn oid field = Objrec.field_of_payload (payload t txn oid ~committed:false) field
 
 let set_field t txn oid field v =
-  let record = get t txn oid in
-  put t txn oid (Objrec.set record field v)
+  let current = payload t txn oid ~committed:false in
+  let updated = Objrec.with_field current field v in
+  write_back t txn oid ~cls:(Objrec.cls_of_payload current) ~current updated
+    ~key:(Objrec.field_of_payload updated)
 
-let class_of t txn oid = (get t txn oid).Objrec.cls
+let class_of t txn oid = Objrec.cls_of_payload (payload t txn oid ~committed:false)
 
-let exists t txn oid = Option.is_some (get_opt t txn oid)
+let exists t txn oid = Option.is_some (t.store.Store.read txn (Oid.to_rid oid))
 
 let cluster t ~cls =
   match Hashtbl.find_opt t.clusters cls with
@@ -192,7 +193,8 @@ let cluster t ~cls =
 
 let iter_cluster t txn ~cls f =
   List.iter
-    (fun oid -> match get_opt t txn oid with Some record -> f oid record | None -> ())
+    (fun oid ->
+      match t.store.Store.read txn (Oid.to_rid oid) with Some payload -> f oid payload | None -> ())
     (cluster t ~cls)
 
 let object_count t = t.store.Store.record_count ()
@@ -203,7 +205,8 @@ let object_count t = t.store.Store.record_count ()
 let create_index t txn ~name ~cls ~field =
   if Hashtbl.mem t.indexes name then invalid_arg ("Database.create_index: duplicate " ^ name);
   let ix = { ix_cls = cls; ix_field = field; ix_tree = Value_btree.create () } in
-  iter_cluster t txn ~cls (fun oid record -> tree_add ix.ix_tree (Objrec.get record field) oid);
+  iter_cluster t txn ~cls (fun oid payload ->
+      tree_add ix.ix_tree (Objrec.field_of_payload payload field) oid);
   Hashtbl.replace t.indexes name ix
 
 let drop_index t ~name = Hashtbl.remove t.indexes name

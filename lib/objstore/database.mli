@@ -34,20 +34,25 @@ val get : t -> Ode_storage.Txn.t -> Oid.t -> Objrec.t
 
 val get_opt : t -> Ode_storage.Txn.t -> Oid.t -> Objrec.t option
 
-val get_committed : t -> Ode_storage.Txn.t -> Oid.t -> Objrec.t
-(** Lock-free read-committed dereference: the object's newest committed
-    version (or this transaction's own in-place state if it already holds
-    the record's lock), with no S lock taken. Used by certified
-    snapshot-safe trigger cascades ({!Ode_trigger.Runtime}). Raises
-    {!No_such_object}. *)
-
-val get_committed_opt : t -> Ode_storage.Txn.t -> Oid.t -> Objrec.t option
+val payload : t -> Ode_storage.Txn.t -> Oid.t -> committed:bool -> bytes
+(** The object's stored record bytes ({!Objrec.encode}'s layout), for
+    reading fields in place with {!Objrec.field_of_payload}. With
+    [~committed:false] this is a dereference (shared lock). With
+    [~committed:true] it is the lock-free read-committed variant: the
+    object's newest committed version (or this transaction's own
+    in-place state if it already holds the record's lock), with no S
+    lock taken. Certified snapshot-safe trigger cascades
+    ({!Ode_trigger.Runtime}) read this way. Raises {!No_such_object}. *)
 
 val put : t -> Ode_storage.Txn.t -> Oid.t -> Objrec.t -> unit
 (** Replace the object (exclusive lock). The class may not change. *)
 
 val get_field : t -> Ode_storage.Txn.t -> Oid.t -> string -> Value.t
+(** One store read; decodes only the field. *)
+
 val set_field : t -> Ode_storage.Txn.t -> Oid.t -> string -> Value.t -> unit
+(** One store read, then the new value's encoding is spliced into the
+    stored bytes ({!Objrec.with_field}); nothing else is decoded. *)
 
 val class_of : t -> Ode_storage.Txn.t -> Oid.t -> string
 (** Dynamic class name of the object. *)
@@ -59,7 +64,8 @@ val cluster : t -> cls:string -> Oid.t list
     derived classes belong to their own cluster only; use the schema layer
     to fold over a class and its descendants. *)
 
-val iter_cluster : t -> Ode_storage.Txn.t -> cls:string -> (Oid.t -> Objrec.t -> unit) -> unit
+val iter_cluster : t -> Ode_storage.Txn.t -> cls:string -> (Oid.t -> bytes -> unit) -> unit
+(** Each live member with its stored record bytes (see {!payload}). *)
 
 val object_count : t -> int
 

@@ -55,3 +55,38 @@ let decode bytes =
   in
   let fields = Binc.read_list r field in
   { cls; fields }
+
+(* Field access on the encoded bytes ([encode]'s layout: the class
+   string, then a counted list of (name, value) pairs). Only the class or
+   the one field asked for is built. *)
+
+let cls_of_payload bytes = Binc.read_string (Binc.reader bytes)
+
+let rec find_field r name remaining =
+  if remaining = 0 then raise Not_found
+  else if Binc.string_equals r name then r
+  else begin
+    Value.skip r;
+    find_field r name (remaining - 1)
+  end
+
+(* A reader positioned at the named field's value. *)
+let seek_field bytes name =
+  let r = Binc.reader bytes in
+  Binc.skip r (Binc.read_uvarint r);
+  find_field r name (Binc.read_uvarint r)
+
+let field_of_payload bytes name = Value.read (seek_field bytes name)
+
+let with_field bytes name v =
+  let r = seek_field bytes name in
+  let start = Binc.pos r in
+  Value.skip r;
+  let stop = Binc.pos r in
+  let value = Value.encode v in
+  let vlen = Bytes.length value and tail = Bytes.length bytes - stop in
+  let out = Bytes.create (start + vlen + tail) in
+  Bytes.blit bytes 0 out 0 start;
+  Bytes.blit value 0 out start vlen;
+  Bytes.blit bytes stop out (start + vlen) tail;
+  out

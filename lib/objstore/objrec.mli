@@ -26,3 +26,20 @@ val pp : Format.formatter -> t -> unit
 
 val encode : t -> bytes
 val decode : bytes -> t
+
+(** {2 Access in the encoded bytes}
+
+    These work on the bytes [encode] produces, as the store returns them,
+    and build only what they return. All raise
+    {!Ode_util.Binc.Corrupt} on malformed input they scan. *)
+
+val cls_of_payload : bytes -> string
+
+val field_of_payload : bytes -> string -> Value.t
+(** [field_of_payload b f = get (decode b) f]; raises [Not_found] for an
+    unknown field. *)
+
+val with_field : bytes -> string -> Value.t -> bytes
+(** A copy with the field's value replaced, byte-identical to
+    [encode (set (decode b) f v)]; raises [Not_found] for an unknown
+    field. *)

@@ -105,6 +105,20 @@ let rec read r =
   | 6 -> List (Binc.read_list r (fun () -> read r))
   | n -> raise (Binc.Corrupt (Printf.sprintf "bad value tag %d" n))
 
+(* Mirrors [read] without building the value. *)
+let rec skip r =
+  match Binc.read_uvarint r with
+  | 0 -> ()
+  | 1 -> ignore (Binc.read_bool r)
+  | 2 | 5 -> ignore (Binc.read_uvarint r)
+  | 3 -> Binc.skip r 8
+  | 4 -> Binc.skip r (Binc.read_uvarint r)
+  | 6 ->
+      for _ = 1 to Binc.read_uvarint r do
+        skip r
+      done
+  | n -> raise (Binc.Corrupt (Printf.sprintf "bad value tag %d" n))
+
 let encode v =
   let w = Binc.writer () in
   write w v;

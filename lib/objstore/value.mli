@@ -33,6 +33,11 @@ val to_list : t -> t list
 
 val write : Ode_util.Binc.writer -> t -> unit
 val read : Ode_util.Binc.reader -> t
+
+val skip : Ode_util.Binc.reader -> unit
+(** Advance past one encoded value without building it; raises
+    {!Ode_util.Binc.Corrupt} where [read] would. *)
+
 val encode : t -> bytes
 val decode : bytes -> t
 (** Raises {!Ode_util.Binc.Corrupt} on malformed input. *)

@@ -8,7 +8,7 @@ type t = {
   snapshot : bool;
   mgr : mgr;
   mutable state : state;
-  mutable deps : int list;
+  mutable deps : t list;
   mutable unacked : int;
   mutable commit_ts : int;  (* -1 until stamped by the commit pipeline *)
   mutable snapshot_ts : int;  (* -1 until pinned at first snapshot read *)
@@ -25,7 +25,6 @@ and mgr = {
   lock_mgr : Lock_manager.t;
   mutable next_id : int;
   mutable participants : participant list;  (* in registration order *)
-  states : (int, state) Hashtbl.t;
   metrics : Metrics.t;
   begun : Metrics.counter;
   committed : Metrics.counter;
@@ -50,7 +49,6 @@ let create_mgr ?lock_mgr () =
     lock_mgr;
     next_id = 1;
     participants = [];
-    states = Hashtbl.create 64;
     metrics = m;
     begun = Metrics.counter m "begun";
     committed = Metrics.counter m "committed";
@@ -70,12 +68,8 @@ let begin_txn ?(system = false) ?(snapshot = false) mgr =
   mgr.next_id <- id + 1;
   Metrics.incr mgr.begun;
   if system then Metrics.incr mgr.system_begun;
-  let t =
-    { id; system; snapshot; mgr; state = Active; deps = []; unacked = 0; commit_ts = -1;
-      snapshot_ts = -1 }
-  in
-  Hashtbl.replace mgr.states id Active;
-  t
+  { id; system; snapshot; mgr; state = Active; deps = []; unacked = 0; commit_ts = -1;
+    snapshot_ts = -1 }
 
 (* -------------------- MVCC commit clock and snapshots -------------------- *)
 
@@ -132,7 +126,7 @@ let check_active t =
 
 let finish t state =
   t.state <- state;
-  Hashtbl.replace t.mgr.states t.id state;
+  t.deps <- [];
   Hashtbl.remove t.mgr.live_snapshots t.id;
   Lock_manager.release_all t.mgr.lock_mgr ~txn:t.id
 
@@ -142,20 +136,18 @@ let abort t =
   finish t Aborted;
   Metrics.incr t.mgr.aborted
 
-let state_of mgr id = Hashtbl.find_opt mgr.states id
-
 let commit t =
   check_active t;
   let check_dep on =
-    match state_of t.mgr on with
-    | Some Committed -> ()
-    | Some Aborted | None ->
+    match on.state with
+    | Committed -> ()
+    | Aborted ->
         abort t;
-        raise (Dependency_failed { txn = t.id; on })
-    | Some Active ->
+        raise (Dependency_failed { txn = t.id; on = on.id })
+    | Active ->
         raise
           (Invalid_state
-             (Printf.sprintf "transaction %d commit-depends on still-active %d" t.id on))
+             (Printf.sprintf "transaction %d commit-depends on still-active %d" t.id on.id))
   in
   List.iter check_dep t.deps;
   (* Prepare phase: every participant stages its pending work (e.g. the
@@ -178,11 +170,9 @@ let resolve_ack t = if t.unacked > 0 then t.unacked <- t.unacked - 1
 
 let durably_acked t = t.state = Committed && t.unacked = 0
 
-let add_dependency_id t ~on =
+let add_dependency t ~on =
   check_active t;
-  if not (List.mem on t.deps) then t.deps <- on :: t.deps
-
-let add_dependency t ~(on : t) = add_dependency_id t ~on:on.id
+  if not (List.memq on t.deps) then t.deps <- on :: t.deps
 
 let pp fmt t =
   Format.fprintf fmt "t%d%s(%s)" t.id

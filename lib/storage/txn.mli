@@ -25,7 +25,8 @@ type t = private {
           are rejected by the stores ({!is_snapshot}). *)
   mgr : mgr;
   mutable state : state;
-  mutable deps : int list;  (** transaction ids this commit depends on *)
+  mutable deps : t list;
+      (** transactions this commit depends on; emptied when it finishes *)
   mutable unacked : int;  (** durability acks still deferred (see {!durably_acked}) *)
   mutable commit_ts : int;  (** MVCC commit timestamp; -1 until stamped *)
   mutable snapshot_ts : int;  (** pinned snapshot timestamp; -1 until first read *)
@@ -114,11 +115,6 @@ val abort : t -> unit
 val add_dependency : t -> on:t -> unit
 (** [add_dependency t ~on] makes [t]'s commit conditional on [on] having
     committed. *)
-
-val add_dependency_id : t -> on:int -> unit
-
-val state_of : mgr -> int -> state option
-(** Final or current state of a transaction id, if known. *)
 
 val is_active : t -> bool
 val check_active : t -> unit

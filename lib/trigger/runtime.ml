@@ -976,7 +976,7 @@ let before_abort t txn = post_txn_event t txn Intern.Before_tabort
    orchestration, so detached actions can themselves fire triggers. *)
 let rec run_detached t ~dependency fire =
   let txn = Txn.begin_txn ~system:true t.mgr in
-  (match dependency with Some on -> Txn.add_dependency_id txn ~on | None -> ());
+  (match dependency with Some on -> Txn.add_dependency txn ~on | None -> ());
   match
     run_action t txn fire;
     before_commit t txn;
@@ -996,7 +996,7 @@ and after_commit t (txn : Txn.t) =
       (* A drain under another transaction cannot see this one's
          uncommitted entries and may have reset the hint below them. *)
       if l.enqueued_phoenix then t.phoenix_hint <- max 1 t.phoenix_hint;
-      List.iter (run_detached t ~dependency:(Some txn.Txn.id)) (List.rev l.dep_list);
+      List.iter (run_detached t ~dependency:(Some txn)) (List.rev l.dep_list);
       List.iter (run_detached t ~dependency:None) (List.rev l.indep_list));
   drain_phoenix t
 

@@ -7,15 +7,12 @@ let contents w = Buffer.to_bytes w
 (* The byte loop treats the int as an unsigned 63-bit quantity ([lsr]
    everywhere), so zigzag outputs — which may be negative as OCaml ints —
    encode correctly. *)
-let write_raw_uvarint w n =
-  let rec go n =
-    if n lsr 7 = 0 then Buffer.add_char w (Char.chr (n land 0x7f))
-    else begin
-      Buffer.add_char w (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+let rec write_raw_uvarint w n =
+  if n lsr 7 = 0 then Buffer.add_char w (Char.chr (n land 0x7f))
+  else begin
+    Buffer.add_char w (Char.chr (0x80 lor (n land 0x7f)));
+    write_raw_uvarint w (n lsr 7)
+  end
 
 let write_uvarint w n =
   if n < 0 then invalid_arg "Binc.write_uvarint: negative";
@@ -63,14 +60,15 @@ let byte r =
   r.pos <- r.pos + 1;
   Char.code c
 
-let read_uvarint r =
-  let rec go shift acc =
-    if shift > 56 then raise (Corrupt "varint too long");
-    let b = byte r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* Top-level loops rather than local closures: field access reads
+   varints on every call and should not allocate for them. *)
+let rec uvarint_from r shift acc =
+  if shift > 56 then raise (Corrupt "varint too long");
+  let b = byte r in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else uvarint_from r (shift + 7) acc
+
+let read_uvarint r = uvarint_from r 0 0
 
 let read_varint r = unzigzag (read_uvarint r)
 
@@ -87,14 +85,29 @@ let read_float r =
   done;
   Int64.float_of_bits !bits
 
+let take r len =
+  if len < 0 || len > Bytes.length r.buf - r.pos then raise (Corrupt "bytes field truncated");
+  let start = r.pos in
+  r.pos <- r.pos + len;
+  start
+
+let skip r len = ignore (take r len)
+
 let read_bytes r =
   let len = read_uvarint r in
-  if r.pos + len > Bytes.length r.buf then raise (Corrupt "bytes field truncated");
-  let b = Bytes.sub r.buf r.pos len in
-  r.pos <- r.pos + len;
-  b
+  Bytes.sub r.buf (take r len) len
 
-let read_string r = Bytes.to_string (read_bytes r)
+let read_string r =
+  let len = read_uvarint r in
+  Bytes.sub_string r.buf (take r len) len
+
+let rec equal_from buf start s i =
+  i = String.length s || (Bytes.get buf (start + i) = String.get s i && equal_from buf start s (i + 1))
+
+let string_equals r s =
+  let len = read_uvarint r in
+  let start = take r len in
+  len = String.length s && equal_from r.buf start s 0
 
 let read_list r f =
   let len = read_uvarint r in

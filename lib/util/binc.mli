@@ -41,3 +41,10 @@ val read_float : reader -> float
 val read_bytes : reader -> bytes
 val read_string : reader -> string
 val read_list : reader -> (unit -> 'a) -> 'a list
+
+val skip : reader -> int -> unit
+(** Advance past [n] bytes without reading them. *)
+
+val string_equals : reader -> string -> bool
+(** Read past a length-prefixed string (as written by {!write_string})
+    and tell whether it equals the argument, without allocating. *)

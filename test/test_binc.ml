@@ -74,6 +74,26 @@ let truncation_raises () =
     | exception Binc.Corrupt _ -> ()
   done
 
+let skip_and_string_equals () =
+  let w = Binc.writer () in
+  List.iter (Binc.write_string w) [ "credLim"; "credLi"; ""; "日本" ];
+  Binc.write_float w 1.5;
+  let full = Binc.contents w in
+  let r = Binc.reader full in
+  Alcotest.(check bool) "equal" true (Binc.string_equals r "credLim");
+  Alcotest.(check bool) "shorter stored" false (Binc.string_equals r "credLim");
+  Alcotest.(check bool) "empty" true (Binc.string_equals r "");
+  Alcotest.(check bool) "multibyte" true (Binc.string_equals r "日本");
+  Binc.skip r 8;
+  Alcotest.(check bool) "skipped to the end" true (Binc.at_end r);
+  (match Binc.skip r 1 with
+  | () -> Alcotest.fail "skip past the end not detected"
+  | exception Binc.Corrupt _ -> ());
+  let truncated = Binc.reader (Bytes.sub full 0 5) in
+  match Binc.string_equals truncated "credLim" with
+  | _ -> Alcotest.fail "truncated string not detected"
+  | exception Binc.Corrupt _ -> ()
+
 let qcheck_varint =
   QCheck.Test.make ~name:"varint roundtrips" ~count:1000 QCheck.int (fun n ->
       let w = Binc.writer () in
@@ -94,6 +114,7 @@ let suite =
     Alcotest.test_case "float bit-exact roundtrip" `Quick roundtrip_floats;
     Alcotest.test_case "mixed payload roundtrip" `Quick roundtrip_mixed;
     Alcotest.test_case "every truncation detected" `Quick truncation_raises;
+    Alcotest.test_case "skip and string_equals" `Quick skip_and_string_equals;
     QCheck_alcotest.to_alcotest qcheck_varint;
     QCheck_alcotest.to_alcotest qcheck_string;
   ]

@@ -73,8 +73,8 @@ let iter_cluster_reads_objects () =
   List.iter (fun n -> ignore (Database.pnew db txn (person n))) names;
   ignore (Database.pnew db txn (Objrec.make ~cls:"Pet" ~fields:[]));
   let seen = ref [] in
-  Database.iter_cluster db txn ~cls:"Person" (fun _ record ->
-      seen := Value.to_str (Objrec.get record "name") :: !seen);
+  Database.iter_cluster db txn ~cls:"Person" (fun _ payload ->
+      seen := Value.to_str (Objrec.field_of_payload payload "name") :: !seen);
   Alcotest.(check (list string)) "persons only, oid order" names (List.rev !seen);
   Txn.commit txn
 

@@ -29,6 +29,94 @@ let value_gen =
 
 let arbitrary_value = QCheck.make ~print:Value.to_string value_gen
 
+(* ------------------------------------------------------------------ *)
+(* In-place field access against the decode-based reference. *)
+
+module Binc = Ode_util.Binc
+
+let multibyte_string =
+  let open QCheck.Gen in
+  map (String.concat "") (list_size (int_bound 4) (oneofl [ "a"; "Z9"; "é"; "日本"; "🙂"; "ß" ]))
+
+let rec multibyte_value size =
+  let open QCheck.Gen in
+  let leaf = oneof [ value_gen; map (fun s -> Value.Str s) multibyte_string ] in
+  if size <= 1 then leaf
+  else
+    oneof [ leaf; map (fun vs -> Value.List vs) (list_size (int_bound 3) (multibyte_value (size / 2))) ]
+
+(* A record with distinct multibyte field names, and a field name it
+   lacks. *)
+let record_gen =
+  let open QCheck.Gen in
+  let* cls = multibyte_string in
+  let* names = list_size (int_bound 6) multibyte_string in
+  let names = List.sort_uniq String.compare names in
+  let* values = flatten_l (List.map (fun _ -> multibyte_value 8) names) in
+  return (Objrec.make ~cls ~fields:(List.combine names values), "?" ^ String.concat "" names)
+
+let arbitrary_record =
+  QCheck.make
+    ~print:(fun ((r, _), v) -> Format.asprintf "%a with %a" Objrec.pp r Value.pp v)
+    QCheck.Gen.(pair record_gen (multibyte_value 8))
+
+let seeded test =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| Seeds.base ~default:0x0B1EC7 |]) test
+
+let qcheck_payload_reads =
+  QCheck.Test.make ~name:"cls_of_payload/field_of_payload agree with decode" ~count:500
+    arbitrary_record (fun ((record, _), _) ->
+      let payload = Objrec.encode record in
+      let reference = Objrec.decode payload in
+      String.equal (Objrec.cls_of_payload payload) reference.Objrec.cls
+      && List.for_all
+           (fun name ->
+             Value.equal (Objrec.field_of_payload payload name) (Objrec.get reference name))
+           (Objrec.field_names reference))
+
+let qcheck_with_field =
+  QCheck.Test.make ~name:"with_field = encode (set (decode p) f v)" ~count:500 arbitrary_record
+    (fun ((record, _), v) ->
+      let payload = Objrec.encode record in
+      List.for_all
+        (fun name ->
+          Bytes.equal
+            (Objrec.with_field payload name v)
+            (Objrec.encode (Objrec.set (Objrec.decode payload) name v)))
+        (Objrec.field_names record))
+
+let raises_not_found f = match f () with _ -> false | exception Not_found -> true
+
+let qcheck_unknown_field =
+  QCheck.Test.make ~name:"unknown field raises Not_found" ~count:300 arbitrary_record
+    (fun ((record, unknown), v) ->
+      let payload = Objrec.encode record in
+      raises_not_found (fun () -> Objrec.field_of_payload payload unknown)
+      && raises_not_found (fun () -> Objrec.with_field payload unknown v))
+
+let raises_corrupt f = match f () with _ -> false | exception Binc.Corrupt _ -> true
+
+(* Every strict prefix: a lookup that has to scan the whole record — an
+   unknown field, or the last one — meets the cut and raises [Corrupt],
+   as [decode] does. *)
+let qcheck_truncated =
+  QCheck.Test.make ~name:"truncated payload raises Corrupt" ~count:200 arbitrary_record
+    (fun ((record, unknown), v) ->
+      let payload = Objrec.encode record in
+      let last = List.rev (Objrec.field_names record) in
+      List.for_all
+        (fun len ->
+          let cut = Bytes.sub payload 0 len in
+          raises_corrupt (fun () -> Objrec.decode cut)
+          && raises_corrupt (fun () -> Objrec.field_of_payload cut unknown)
+          &&
+          match last with
+          | [] -> true
+          | name :: _ ->
+              raises_corrupt (fun () -> Objrec.field_of_payload cut name)
+              && raises_corrupt (fun () -> Objrec.with_field cut name v))
+        (List.init (Bytes.length payload) Fun.id))
+
 let qcheck_roundtrip =
   QCheck.Test.make ~name:"value codec roundtrips" ~count:1000 arbitrary_value (fun v ->
       Value.equal v (Value.decode (Value.encode v)))
@@ -99,4 +187,8 @@ let suite =
     Alcotest.test_case "accessors" `Quick accessors;
     Alcotest.test_case "objrec codec roundtrip" `Quick objrec_roundtrip;
     Alcotest.test_case "objrec field operations" `Quick objrec_operations;
+    seeded qcheck_payload_reads;
+    seeded qcheck_with_field;
+    seeded qcheck_unknown_field;
+    seeded qcheck_truncated;
   ]
