@@ -453,10 +453,11 @@ let demo_cmd =
 
 let stats_cmd =
   (* Every session counter, once, under one header line. *)
+  let print_value (k, v) = Printf.printf "  %-36s %d\n" k v in
   let print_counters ~engine ~rounds ~store ~mode counters =
     Printf.printf "session counters (%s engine, %d rounds, %s store, %s pipeline)\n" engine rounds
       store (Ode_storage.Commit_pipeline.mode_to_string mode);
-    List.iter (fun (k, v) -> Printf.printf "  %-36s %d\n" k v) counters
+    List.iter print_value counters
   in
   (* The capacity knobs the --capacity flag arms: small enough that the
      credit-card workload rolls segments, runs the incremental chain and
@@ -518,32 +519,19 @@ let stats_cmd =
                let card, _ = Option.get cards.(s) in
                Credit_card.balance env txn card))
       done;
-    let fs = Sharded.stats fleet in
-    Printf.printf "fleet counters (K=%d, mode=%s, %d rounds, %s store)\n" shards
+    let counters = Sharded.counters fleet in
+    Printf.printf "fleet (K=%d, mode=%s, %d rounds, %s store)\n" shards
       (Sharded.mode_to_string smode) rounds store;
-    Printf.printf "  %-24s %d\n" "posts_routed" fs.Sharded.fs_tasks;
-    Printf.printf "  %-24s %d\n" "committed" fs.Sharded.fs_committed;
-    Printf.printf "  %-24s %d\n" "aborted" fs.Sharded.fs_aborted;
-    Printf.printf "  %-24s %d\n" "failed" fs.Sharded.fs_failed;
-    Printf.printf "  %-24s %d\n" "cross_shard_forwards" fs.Sharded.fs_forwards;
-    Printf.printf "  %-24s %d\n" "trigger_forwards" fs.Sharded.fs_trigger_forwards;
-    Printf.printf "  %-24s %d\n" "barrier_rounds" fs.Sharded.fs_rounds;
-    Printf.printf "  %-24s %d\n" "mailbox_high_water" fs.Sharded.fs_mailbox_hwm;
-    if per_shard then begin
-      Printf.printf "per-shard counters\n";
-      Printf.printf "  %5s %6s %9s %7s %6s %7s %6s %6s %8s\n" "shard" "routed" "committed"
-        "aborted" "failed" "fwd-out" "fwd-in" "rounds" "mbox-hwm";
-      List.iter
-        (fun ss ->
-          Printf.printf "  %5d %6d %9d %7d %6d %7d %6d %6d %8d\n" ss.Sharded.ss_shard
-            ss.Sharded.ss_tasks ss.Sharded.ss_committed ss.Sharded.ss_aborted
-            ss.Sharded.ss_failed ss.Sharded.ss_forwards_out ss.Sharded.ss_forwards_in
-            ss.Sharded.ss_rounds ss.Sharded.ss_mailbox_hwm)
-        (Sharded.shard_stats fleet)
-    end;
-    print_counters ~engine ~rounds ~store ~mode (Sharded.counters fleet);
+    if per_shard then
+      for i = 0 to shards - 1 do
+        Printf.printf "shard %d\n" i;
+        Session.counters (Sharded.session fleet i)
+        |> List.filter (fun (k, _) -> String.starts_with ~prefix:"fleet." k)
+        |> List.iter print_value
+      done;
+    print_counters ~engine ~rounds ~store ~mode counters;
     Sharded.shutdown fleet;
-    if fs.Sharded.fs_failed > 0 then die "%d task(s) failed" fs.Sharded.fs_failed else 0
+    match List.assoc "fleet.failed" counters with 0 -> 0 | n -> die "%d task(s) failed" n
   in
   let run store engine durability rounds shards smode_text per_shard replication mvcc capacity =
     let kind = match store with "disk" -> `Disk | _ -> `Mem in

@@ -865,7 +865,7 @@ let start ?(bindings = Opp.no_bindings) ?(max_frame = P.default_max_frame)
     ?(outbox_hwm = 1 lsl 20) ?(max_conn_inflight = 1024) ?(drain_deadline = 5.0)
     ~fleet ~listen () =
   if listen = [] then invalid_arg "Server.start: no listen addresses";
-  if (Sharded.stats fleet).Sharded.fs_mode <> Sharded.Free then
+  if Sharded.mode fleet <> Sharded.Free then
     invalid_arg "Server.start: fleet must be in Free mode";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let bound = List.map bind_one listen in

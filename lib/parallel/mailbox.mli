@@ -25,5 +25,5 @@ val pop : 'a t -> 'a
 (** Blocks while both lanes are empty. *)
 
 val high_water : 'a t -> int
-(** Highest combined occupancy ever observed — the [mailbox_hwm]
-    counter surfaced by [odectl stats --per-shard]. *)
+(** Highest combined occupancy ever observed — each shard registers it
+    as its [fleet.mailbox_hwm] peak. *)

@@ -33,10 +33,10 @@
      directly shard-to-shard through the unbounded forward lane.
      Maximum throughput, no cross-shard ordering promise.
 
-   Construction and recovery build the K shards concurrently: each shard
-   makes its session and runs the schema callback (which may capture only
-   per-shard or synchronised mutable state) with its own intern table, on
-   a builder domain (shard 0 on the caller's). Event ids agree because the
+   A fleet runs on exactly K domains, one per shard for its whole life:
+   worker i makes its session, runs the schema callback (which may capture
+   only per-shard or synchronised mutable state) with its own intern
+   table, and then serves the shard it built. Event ids agree because the
    schema defines the same classes in the same order on every shard
    (eventRep assigns the next dense id to an unseen pair, §5.2); the
    snapshots are compared once every shard is built. *)
@@ -47,6 +47,7 @@ module Value = Ode_objstore.Value
 module Intern = Ode_event.Intern
 module Faults = Ode_storage.Faults
 module Txn = Ode_storage.Txn
+module Metrics = Ode_util.Metrics
 
 type mode = Deterministic | Free
 
@@ -154,20 +155,20 @@ type shard = {
   (* Written only by the shard's domain; read by the router at quiescent
      points (after a round barrier or free-mode drain — both publish
      through a mutex). *)
-  mutable sh_tasks : int;
-  mutable sh_committed : int;
-  mutable sh_aborted : int;
-  mutable sh_failed : int;
-  mutable sh_forwards_out : int;
-  mutable sh_forwards_in : int;
-  mutable sh_foreign : int;
+  sh_tasks : Metrics.counter;
+  sh_committed : Metrics.counter;
+  sh_aborted : Metrics.counter;
+  sh_failed : Metrics.counter;
+  sh_forwards_out : Metrics.counter;
+  sh_forwards_in : Metrics.counter;
+  sh_foreign : Metrics.counter;
       (* foreign requests ({!post_foreign}) executed — the network
          front-end's entry lane *)
-  mutable sh_trigger_forwards : int;
+  sh_trigger_forwards : Metrics.counter;
       (* forwards emitted while a trigger action was on the stack — the
          observable counterpart of the analyzer's cross-shard affinity
          prediction *)
-  mutable sh_rounds : int;
+  mutable sh_rounds : int;  (* a peak: a reset must not rewind the round clock *)
   mutable sh_outbox : envelope list;  (* newest first; Deterministic only *)
   mutable sh_latencies : float list;  (* seconds per completed task, newest first *)
   mutable sh_crashed : string option;  (* Injected_crash description *)
@@ -178,7 +179,7 @@ type t = {
   k : int;
   mode : mode;
   shards : shard array;
-  mutable domains : unit Domain.t array;
+  domains : unit Domain.t array;
   pending : counter;
   mutable next_seq : int;
   mutable queued : (int * int * task) list;  (* (seq, shard, task), newest first *)
@@ -187,6 +188,7 @@ type t = {
 }
 
 let shard_count t = t.k
+let mode t = t.mode
 let shard_of t key = ((key mod t.k) + t.k) mod t.k
 let home_of t oid = shard_of t (Oid.to_rid oid |> Ode_storage.Rid.to_int)
 
@@ -217,23 +219,23 @@ let run_task t sh ~seq task =
           in
           incr emitted;
           if Ode_trigger.Runtime.in_firing (Session.runtime sh.sh_session) then
-            sh.sh_trigger_forwards <- sh.sh_trigger_forwards + 1;
+            Metrics.incr sh.sh_trigger_forwards;
           buffered := e :: !buffered);
     }
   in
-  sh.sh_tasks <- sh.sh_tasks + 1;
+  Metrics.incr sh.sh_tasks;
   match Session.with_txn sh.sh_session (fun txn -> task ctx txn) with
   | () ->
-      sh.sh_committed <- sh.sh_committed + 1;
+      Metrics.incr sh.sh_committed;
       let out = List.rev !buffered in
-      sh.sh_forwards_out <- sh.sh_forwards_out + List.length out;
+      Metrics.add sh.sh_forwards_out (List.length out);
       (match t.mode with
       | Deterministic -> sh.sh_outbox <- List.rev_append out sh.sh_outbox
       | Free -> List.iter (deliver_free t) out)
-  | exception Session.Aborted -> sh.sh_aborted <- sh.sh_aborted + 1
+  | exception Session.Aborted -> Metrics.incr sh.sh_aborted
 
 let apply_envelope sh e =
-  sh.sh_forwards_in <- sh.sh_forwards_in + 1;
+  Metrics.incr sh.sh_forwards_in;
   match
     Session.with_txn sh.sh_session (fun txn ->
         (* The target may have been deleted since the envelope was
@@ -242,8 +244,8 @@ let apply_envelope sh e =
           Session.post_event_id ~args:e.env_payload sh.sh_session txn e.env_obj
             ~event:e.env_event)
   with
-  | () -> sh.sh_committed <- sh.sh_committed + 1
-  | exception Session.Aborted -> sh.sh_aborted <- sh.sh_aborted + 1
+  | () -> Metrics.incr sh.sh_committed
+  | exception Session.Aborted -> Metrics.incr sh.sh_aborted
 
 (* After an injected crash the shard's stores are gone: skip all further
    work (the messages are consumed and discarded so the fleet's protocol
@@ -257,7 +259,7 @@ let guarded sh f =
           Some
             (Printf.sprintf "injected crash at point %d (%s)" point (Faults.site_to_string site))
     | exception e ->
-        sh.sh_failed <- sh.sh_failed + 1;
+        Metrics.incr sh.sh_failed;
         sh.sh_last_error <- Some (Printexc.to_string e)
 
 let rec worker_loop t sh =
@@ -282,83 +284,109 @@ let rec worker_loop t sh =
       (* Foreign closures (the network server's requests) manage their own
          transactions and must never leak an exception — [guarded] is only
          the crash/last-resort backstop keeping the shard protocol alive. *)
-      sh.sh_foreign <- sh.sh_foreign + 1;
+      Metrics.incr sh.sh_foreign;
       guarded sh (fun () -> f sh.sh_session);
       if t.mode = Free then counter_decr t.pending;
       worker_loop t sh
 
 (* ---------------- construction ---------------- *)
 
+(* Runs on the shard's own domain, so everything the shard allocates —
+   session, mailbox, counters — belongs to the domain that serves it. *)
 let make_shard ~mailbox_capacity i session =
-  {
-    sh_index = i;
-    sh_session = session;
-    sh_mailbox = Mailbox.create ~capacity:mailbox_capacity;
-    sh_done = slot_create ();
-    sh_tasks = 0;
-    sh_committed = 0;
-    sh_aborted = 0;
-    sh_failed = 0;
-    sh_forwards_out = 0;
-    sh_forwards_in = 0;
-    sh_foreign = 0;
-    sh_trigger_forwards = 0;
-    sh_rounds = 0;
-    sh_outbox = [];
-    sh_latencies = [];
-    sh_crashed = None;
-    sh_last_error = None;
-  }
-
-let assemble_fleet ~mode ~mailbox_capacity sessions =
-  let k = Array.length sessions in
-  let shards = Array.mapi (make_shard ~mailbox_capacity) sessions in
-  let t =
+  let m = Metrics.create () in
+  let counter = Metrics.counter m in
+  let sh =
     {
-      k;
-      mode;
-      shards;
-      domains = [||];
-      pending = counter_create ();
-      next_seq = 0;
-      queued = [];
-      envelopes = [];
-      stopped = false;
+      sh_index = i;
+      sh_session = session;
+      sh_mailbox = Mailbox.create ~capacity:mailbox_capacity;
+      sh_done = slot_create ();
+      sh_tasks = counter "tasks";
+      sh_committed = counter "committed";
+      sh_aborted = counter "aborted";
+      sh_failed = counter "failed";
+      sh_forwards_out = counter "forwards_out";
+      sh_forwards_in = counter "forwards_in";
+      sh_foreign = counter "foreign";
+      sh_trigger_forwards = counter "trigger_forwards";
+      sh_rounds = 0;
+      sh_outbox = [];
+      sh_latencies = [];
+      sh_crashed = None;
+      sh_last_error = None;
     }
   in
-  t.domains <- Array.map (fun sh -> Domain.spawn (fun () -> worker_loop t sh)) shards;
-  t
+  Metrics.peak m "rounds" (fun () -> sh.sh_rounds);
+  Metrics.peak m "mailbox_hwm" (fun () -> Mailbox.high_water sh.sh_mailbox);
+  Metrics.attach (Session.metrics session) ~prefix:"fleet" m;
+  sh
 
-(* [make i] then [schema ~shard:i] for every shard at once (see the
-   header). Every builder is joined before the lowest shard's failure is
-   re-raised, so none is left running; only then are the intern
-   snapshots compared. *)
-let build_shards ~k ~schema ~make =
-  let build i () =
-    let s = make i in
-    schema ~shard:i s;
-    s
-  in
-  let spawn i =
-    match Domain.spawn (build i) with
-    | d -> fun () -> Domain.join d
-    | exception e -> fun () -> raise e
-  in
-  let attempt step = try Ok (step ()) with e -> Error (e, Printexc.get_raw_backtrace ()) in
-  let sessions =
-    Array.map attempt (Array.init k (fun i -> if i = 0 then build 0 else spawn i))
-    |> Array.map (function Ok s -> s | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-  in
-  let snap = Intern.snapshot (Session.intern sessions.(0)) in
-  sessions
-  |> Array.iteri (fun i s ->
-         if not (Intern.equal_snapshot (Intern.snapshot (Session.intern s)) snap) then
+let check_interns shards =
+  let snap = Intern.snapshot (Session.intern shards.(0).sh_session) in
+  shards
+  |> Array.iter (fun sh ->
+         if not (Intern.equal_snapshot (Intern.snapshot (Session.intern sh.sh_session)) snap) then
            invalid_arg
              (Printf.sprintf
                 "Ode_parallel: shard %d interned a different event-id assignment than shard 0 \
                  (schema must define the same classes in the same order on every shard)"
-                i));
-  sessions
+                sh.sh_index))
+
+(* Worker [i]'s whole life: [make i], [schema ~shard:i], report, then
+   serve the fleet it is handed ([Some t]) or quit ([None]). A spawn that
+   fails reports as that shard's failure. On any failure every worker is
+   told to quit and joined before the lowest shard's exception is
+   re-raised; the intern snapshots are compared under the same rule. *)
+let build_fleet ~k ~mode ~mailbox_capacity ~schema ~make =
+  (* A report returns the built shard or re-raises the build's failure. *)
+  let reports = Array.init k (fun _ -> slot_create ()) in
+  let starts = Array.init k (fun _ -> slot_create ()) in
+  let fail i e =
+    let bt = Printexc.get_raw_backtrace () in
+    slot_put reports.(i) (fun () -> Printexc.raise_with_backtrace e bt)
+  in
+  let worker i () =
+    match
+      let session = make i in
+      schema ~shard:i session;
+      make_shard ~mailbox_capacity i session
+    with
+    | sh ->
+        slot_put reports.(i) (fun () -> sh);
+        Option.iter (fun t -> worker_loop t sh) (slot_take starts.(i))
+    | exception e -> fail i e
+  in
+  let domains =
+    Array.init k (fun i ->
+        match Domain.spawn (worker i) with d -> Some d | exception e -> fail i e; None)
+  in
+  match
+    let shards = Array.map (fun report -> slot_take report ()) reports in
+    check_interns shards;
+    shards
+  with
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Array.iter (fun start -> slot_put start None) starts;
+      Array.iter (Option.iter Domain.join) domains;
+      Printexc.raise_with_backtrace e bt
+  | shards ->
+      let t =
+        {
+          k;
+          mode;
+          shards;
+          domains = Array.map Option.get domains;
+          pending = counter_create ();
+          next_seq = 0;
+          queued = [];
+          envelopes = [];
+          stopped = false;
+        }
+      in
+      Array.iter (fun start -> slot_put start (Some t)) starts;
+      t
 
 let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
     ?durability ?engine ?(mailbox_capacity = 256) ?shard_faults ?wal_segment_bytes
@@ -371,7 +399,7 @@ let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush
       ?durability ~faults ~shard:(i, k) ?engine ?wal_segment_bytes ?ckpt_full_every
       ?auto_checkpoint_bytes ()
   in
-  assemble_fleet ~mode ~mailbox_capacity (build_shards ~k ~schema ~make)
+  build_fleet ~k ~mode ~mailbox_capacity ~schema ~make
 
 (* ---------------- routing ---------------- *)
 
@@ -528,75 +556,52 @@ let recover ?durability ?(mailbox_capacity = 256) ?wal_segment_bytes ?ckpt_full_
     Session.recover ?durability ?wal_segment_bytes ?ckpt_full_every ?auto_checkpoint_bytes
       img.fl_images.(i)
   in
-  assemble_fleet ~mode ~mailbox_capacity (build_shards ~k ~schema ~make)
+  build_fleet ~k ~mode ~mailbox_capacity ~schema ~make
 
 (* ---------------- statistics ---------------- *)
 
-type shard_stats = {
-  ss_shard : int;
-  ss_tasks : int;  (* tasks routed to (and consumed by) this shard *)
-  ss_committed : int;
-  ss_aborted : int;
-  ss_failed : int;
-  ss_forwards_out : int;
-  ss_forwards_in : int;
-  ss_foreign : int;
-  ss_trigger_forwards : int;
-  ss_rounds : int;
-  ss_mailbox_hwm : int;
-}
+let merged shards =
+  Metrics.merge (List.map (fun sh -> Metrics.snapshot (Session.metrics sh.sh_session)) shards)
+
+let counters t = merged (Array.to_list t.shards)
+
+(* The records are views of the fleet.* entries, merged by kind:
+   counters summed, rounds and mailbox high-water maxed. *)
+let fleet_values shards =
+  let values = merged shards in
+  fun key -> List.assoc ("fleet." ^ key) values
+
+type shard_stats = { ss_tasks : int; ss_foreign : int }
 
 let shard_stats t =
   Array.to_list t.shards
   |> List.map (fun sh ->
-         {
-           ss_shard = sh.sh_index;
-           ss_tasks = sh.sh_tasks;
-           ss_committed = sh.sh_committed;
-           ss_aborted = sh.sh_aborted;
-           ss_failed = sh.sh_failed;
-           ss_forwards_out = sh.sh_forwards_out;
-           ss_forwards_in = sh.sh_forwards_in;
-           ss_foreign = sh.sh_foreign;
-           ss_trigger_forwards = sh.sh_trigger_forwards;
-           ss_rounds = sh.sh_rounds;
-           ss_mailbox_hwm = Mailbox.high_water sh.sh_mailbox;
-         })
+         let v = fleet_values [ sh ] in
+         { ss_tasks = v "tasks"; ss_foreign = v "foreign" })
 
 type fleet_stats = {
-  fs_shards : int;
-  fs_mode : mode;
   fs_tasks : int;  (* posts routed *)
   fs_committed : int;
   fs_aborted : int;
   fs_failed : int;
   fs_forwards : int;  (* cross-shard envelopes sent *)
-  fs_foreign : int;  (* foreign (network) requests executed *)
   fs_trigger_forwards : int;  (* of which emitted inside a trigger firing *)
   fs_rounds : int;  (* barrier rounds (max over shards) *)
   fs_mailbox_hwm : int;  (* max over shards *)
 }
 
 let stats t =
-  let per = shard_stats t in
+  let v = fleet_values (Array.to_list t.shards) in
   {
-    fs_shards = t.k;
-    fs_mode = t.mode;
-    fs_tasks = List.fold_left (fun a s -> a + s.ss_tasks) 0 per;
-    fs_committed = List.fold_left (fun a s -> a + s.ss_committed) 0 per;
-    fs_aborted = List.fold_left (fun a s -> a + s.ss_aborted) 0 per;
-    fs_failed = List.fold_left (fun a s -> a + s.ss_failed) 0 per;
-    fs_forwards = List.fold_left (fun a s -> a + s.ss_forwards_out) 0 per;
-    fs_foreign = List.fold_left (fun a s -> a + s.ss_foreign) 0 per;
-    fs_trigger_forwards = List.fold_left (fun a s -> a + s.ss_trigger_forwards) 0 per;
-    fs_rounds = List.fold_left (fun a s -> max a s.ss_rounds) 0 per;
-    fs_mailbox_hwm = List.fold_left (fun a s -> max a s.ss_mailbox_hwm) 0 per;
+    fs_tasks = v "tasks";
+    fs_committed = v "committed";
+    fs_aborted = v "aborted";
+    fs_failed = v "failed";
+    fs_forwards = v "forwards_out";
+    fs_trigger_forwards = v "trigger_forwards";
+    fs_rounds = v "rounds";
+    fs_mailbox_hwm = v "mailbox_hwm";
   }
-
-let counters t =
-  let module Metrics = Ode_util.Metrics in
-  Metrics.merge
-    (Array.to_list t.shards |> List.map (fun sh -> Metrics.snapshot (Session.metrics sh.sh_session)))
 
 (* Per-task wall-clock latencies in seconds, all shards merged, oldest
    first. Deterministic mode measures from round dispatch, Free mode from

@@ -64,13 +64,14 @@ val create :
   schema:(shard:int -> Session.t -> unit) ->
   unit ->
   t
-(** Build a K-shard fleet. Shards are built concurrently: [schema] runs
-    once per shard on a builder domain (shard 0's on the caller's), and
-    may capture only per-shard or synchronised mutable state. It must
-    define the same classes in the same order on every shard; a divergent
+(** Build a K-shard fleet on exactly K domains, one per shard for its
+    whole life. Shards are built concurrently: [schema] runs once per
+    shard on the worker domain that will then serve that shard, and may
+    capture only per-shard or synchronised mutable state. It must define
+    the same classes in the same order on every shard; a divergent
     event-id assignment raises [Invalid_argument] once every shard is
     built. If callbacks raise, the lowest shard's exception is re-raised
-    once every builder is joined. [shard_faults] supplies each shard's
+    once every worker is joined. [shard_faults] supplies each shard's
     private fault-injection plane (default: inert planes) — the
     fleet-crash harness arms exactly one of them. Session parameters, including the
     capacity knobs ([wal_segment_bytes], [ckpt_full_every],
@@ -78,6 +79,8 @@ val create :
     every shard's {!Session.create}. *)
 
 val shard_count : t -> int
+
+val mode : t -> mode
 
 val shard_of : t -> int -> int
 (** Home shard of an integer key: [key mod K]. Oids minted by shard [i]
@@ -168,52 +171,46 @@ val recover :
 (** Rebuild all K shards from a fleet image: each shard's stores are
     recovered from its WAL prefixes with the settings it crashed with,
     including its (i, K) striding ({!Session.recover}); the labels
-    override the image's value on every shard. Shards recover and run
-    [schema] concurrently, under {!create}'s contract, and fresh worker
-    domains are spawned. *)
+    override the image's value on every shard. Each shard recovers and
+    runs [schema] on its own worker domain, which then serves it, under
+    {!create}'s contract. *)
 
 (* ---------------- statistics ---------------- *)
 
-type shard_stats = {
-  ss_shard : int;
-  ss_tasks : int;  (** tasks routed to this shard *)
-  ss_committed : int;
-  ss_aborted : int;
-  ss_failed : int;
-  ss_forwards_out : int;  (** envelopes sealed and sent *)
-  ss_forwards_in : int;  (** envelopes applied *)
-  ss_foreign : int;  (** foreign requests ({!post_foreign}) executed *)
-  ss_trigger_forwards : int;
-      (** forwards emitted while a trigger action was on the stack — the
-          observable counterpart of the concurrency analyzer's
-          cross-shard affinity prediction: zero predicted
-          [cross-shard-post] edges must mean zero of these *)
-  ss_rounds : int;  (** barrier rounds completed *)
-  ss_mailbox_hwm : int;  (** mailbox high-water mark *)
-}
+val counters : t -> (string * int) list
+(** {!Session.counters} merged across shards (same keys) by
+    {!Ode_util.Metrics.merge}: counters and gauges summed, peaks such as
+    [objects.max_batch_size] maxed, [objects.avg_batch_size] recomputed.
+    Each shard's own counters are registered in its session's registry
+    under [fleet.]: [tasks] routed, [committed], [aborted], [failed],
+    [forwards_out] (envelopes sealed and sent), [forwards_in] (applied),
+    [foreign] ({!post_foreign} requests executed) and [trigger_forwards]
+    (forwards emitted while a trigger action was on the stack — the
+    observable counterpart of the concurrency analyzer's cross-shard
+    affinity prediction: zero predicted [cross-shard-post] edges must
+    mean zero of these), and the peaks [rounds] (barrier rounds) and
+    [mailbox_hwm]; {!Session.reset_counters} zeroes the counters and
+    keeps the peaks. *)
+
+type shard_stats = { ss_tasks : int; ss_foreign : int }
 
 val shard_stats : t -> shard_stats list
+(** A view of each shard's [fleet.] entries. *)
 
 type fleet_stats = {
-  fs_shards : int;
-  fs_mode : mode;
   fs_tasks : int;
   fs_committed : int;
   fs_aborted : int;
   fs_failed : int;
   fs_forwards : int;
-  fs_foreign : int;  (** foreign (network) requests executed *)
-  fs_trigger_forwards : int;  (** of which emitted inside a trigger firing *)
+  fs_trigger_forwards : int;
   fs_rounds : int;
   fs_mailbox_hwm : int;
 }
 
 val stats : t -> fleet_stats
-
-val counters : t -> (string * int) list
-(** {!Session.counters} merged across shards (same keys) by
-    {!Ode_util.Metrics.merge}: counters and gauges summed, peaks such as
-    [objects.max_batch_size] maxed, [objects.avg_batch_size] recomputed. *)
+(** A view of the [fleet.] entries merged across shards: counters
+    summed, [fs_rounds] and [fs_mailbox_hwm] maxed. *)
 
 val latencies : t -> float list
 (** Per-task wall-clock latency in seconds (queueing included), all

@@ -280,17 +280,14 @@ module Make (P : PHYS) = struct
      log below it is re-derivable, so sealed WAL segments wholly below the
      anchor record retire (subject to replication pins). *)
   let write_ckpt t ~seq ~full record =
-    let record_len =
-      let w = Ode_util.Binc.writer () in
-      Wal.encode_record w record;
-      Bytes.length (Ode_util.Binc.contents w)
-    in
     (* Any queued group batch materializes ahead of the checkpoint record so
        the batch's commit marker precedes the state it is folded into; the
        pipeline flush then forces both and resolves the deferred acks. *)
     Commit_pipeline.materialize t.pipeline;
     Wal.append t.wal record;
     Commit_pipeline.flush t.pipeline;
+    (* The checkpoint is the last record of the flush just forced. *)
+    let record_at = Wal.last_record_offset t.wal in
     (* Only a durable checkpoint updates the chain bookkeeping: a failed
        flush leaves the record buffered and the dirty set intact, so the
        next attempt simply supersedes it. *)
@@ -302,15 +299,13 @@ module Make (P : PHYS) = struct
     if full then begin
       Metrics.incr t.ckpt_fulls;
       t.last_full_seq <- seq;
-      (* The anchor starts at [durable end - its encoded length]: it is the
-         last record of the flush we just forced. Everything strictly below
-         is superseded. *)
-      Wal.retire_below t.wal ~offset:(Wal.durable_size t.wal - record_len);
+      (* Everything strictly below the anchor is superseded. *)
+      Wal.retire_below t.wal ~offset:record_at;
       P.on_full_anchor t.phys ~dirty_rids
     end
     else begin
       Metrics.incr t.ckpt_deltas;
-      Metrics.add t.ckpt_delta_bytes record_len
+      Metrics.add t.ckpt_delta_bytes (Wal.durable_size t.wal - record_at)
     end;
     Commit_pipeline.note_checkpoint t.pipeline;
     Mvcc.prune t.chains ~watermark:(Txn.gc_watermark t.mgr)
@@ -345,8 +340,8 @@ module Make (P : PHYS) = struct
      re-read a regular full checkpoint pays — at a million objects that
      re-read is most of the recovery fixed cost. The store is fresh (empty
      WAL, right-sized physical map courtesy of [load_bulk]), which also
-     lets this path skip [write_ckpt]'s length-probe encode, its retirement
-     call (nothing below the anchor exists) and the full-anchor hook. *)
+     lets this path skip [write_ckpt]'s retirement call (nothing below the
+     anchor exists) and the full-anchor hook. *)
   let anchor_from t entries =
     check_usable t;
     if Hashtbl.length t.undo > 0 then fail "checkpoint with in-flight transactions";

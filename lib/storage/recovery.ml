@@ -29,46 +29,48 @@ let truncated_tail records =
     records;
   !tail
 
-(* Single forward fold. A full [Checkpoint] resets the map to its
-   entries (everything earlier is superseded); a [Ckpt_delta] overlays
-   only the records dirtied since the previous checkpoint, [None]
-   meaning delete — deltas never reset, so state accumulated since the
-   full anchor (directly applied ops or earlier deltas) survives.
-   Committed ops apply as they are met; ops below a full checkpoint are
-   folded then discarded by its reset, which makes the fold equivalent
-   to the classic split-at-checkpoint replay while bounding the work a
-   recovery does to the retained log (retirement drops everything below
-   the last full anchor). Checkpoints are taken at quiescent points, so
-   no transaction's ops straddle one. *)
+(* Single forward fold. A full [Checkpoint] becomes the base state as
+   written (ascending rid order, as this function returns it and
+   recovery's anchor logs it) and empties the overlay; [Ckpt_delta]
+   entries ([None] meaning delete) and committed ops go into the overlay
+   as they are met, and a merge applies it to the base. Ops below a full
+   checkpoint are discarded with the overlay it empties, so the fold
+   equals the classic split-at-checkpoint replay while its work stays
+   bounded by the retained log. Checkpoints are taken at quiescent
+   points, so no transaction's ops straddle one. A store-sized table
+   would make a remembered-set entry per record, whose promotion OCaml 5
+   shares with every domain, idle ones included. *)
 let committed_state records =
   let committed = committed_txns records in
-  let state = ref (Rid.Tbl.create 256) in
+  let base = ref [] and overlay = Rid.Tbl.create 256 in
   let apply = function
     | Wal.Checkpoint entries ->
-        (* A full anchor replaces the map wholesale; building the
-           replacement pre-sized skips the doubling rehashes a
-           million-entry anchor would otherwise pay. *)
-        let tbl = Rid.Tbl.create (max 256 (2 * List.length entries)) in
-        List.iter (fun (rid, payload) -> Rid.Tbl.replace tbl rid payload) entries;
-        state := tbl
+        base := entries;
+        Rid.Tbl.reset overlay
     | Wal.Ckpt_delta { entries; _ } ->
-        List.iter
-          (fun (rid, payload) ->
-            match payload with
-            | Some payload -> Rid.Tbl.replace !state rid payload
-            | None -> Rid.Tbl.remove !state rid)
-          entries
+        List.iter (fun (rid, change) -> Rid.Tbl.replace overlay rid change) entries
     | Wal.Op (txn, op) when Hashtbl.mem committed txn -> begin
         match op with
         | Wal.Insert (rid, payload) | Wal.Update (rid, _, payload) ->
-            Rid.Tbl.replace !state rid payload
-        | Wal.Delete (rid, _) -> Rid.Tbl.remove !state rid
+            Rid.Tbl.replace overlay rid (Some payload)
+        | Wal.Delete (rid, _) -> Rid.Tbl.replace overlay rid None
       end
     | Wal.Op _ | Wal.Begin _ | Wal.Commit _ | Wal.Commit_group _ | Wal.Abort _ -> ()
   in
   List.iter apply records;
-  let entries = Rid.Tbl.fold (fun rid payload acc -> (rid, payload) :: acc) !state [] in
-  List.sort (fun (a, _) (b, _) -> Rid.compare a b) entries
+  let add rid change acc = match change with Some payload -> (rid, payload) :: acc | None -> acc in
+  let rec merge acc base changes =
+    match (base, changes) with
+    | _, [] -> List.rev_append acc base
+    | [], (rid, change) :: changes -> merge (add rid change acc) [] changes
+    | ((rid, _) as entry) :: base', (rid', change) :: changes' ->
+        let c = Rid.compare rid rid' in
+        if c < 0 then merge (entry :: acc) base' changes
+        else merge (add rid' change acc) (if c = 0 then base' else base) changes'
+  in
+  Rid.Tbl.fold (fun rid change acc -> (rid, change) :: acc) overlay []
+  |> List.sort (fun (a, _) (b, _) -> Rid.compare a b)
+  |> merge [] !base
 
 (* Both stores recover the same way: decode the durable log, fold it to
    the committed state, load that into a fresh store and anchor on it. *)

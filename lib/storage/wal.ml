@@ -34,6 +34,7 @@ type t = {
   flush_spin : int;
   flush_sleep : int;  (* blocking fsync latency in ns; 0 = none *)
   mutable tail : record list;  (* reversed *)
+  mutable last_record_offset : int;  (* global start of the last flushed record *)
   metrics : Metrics.t;
   flushes : Metrics.counter;
   segments_sealed : Metrics.counter;
@@ -68,6 +69,7 @@ let create ?faults ~flush_spin ~flush_sleep ~segment_bytes () =
       flush_spin;
       flush_sleep;
       tail = [];
+      last_record_offset = 0;
       metrics = m;
       flushes = Metrics.counter m "wal_flushes";
       segments_sealed = Metrics.counter m "segments_sealed";
@@ -221,11 +223,13 @@ let flush t =
   let pending = List.rev t.tail in
   if pending <> [] then begin
     let w = Ode_util.Binc.writer () in
-    List.iter (encode_record w) pending;
+    let last = ref 0 in
+    List.iter (fun r -> last := Binc.length w; encode_record w r) pending;
     let bytes = Binc.contents w in
     (match Faults.check t.faults Faults.Wal_flush with
     | `Proceed ->
         spin t;
+        t.last_record_offset <- durable_size t + !last;
         Buffer.add_bytes t.active bytes;
         t.bytes_cache <- None;
         maybe_rotate t
@@ -242,6 +246,7 @@ let flush t =
   Metrics.incr t.flushes
 
 let retired_offset t = t.retired_offset
+let last_record_offset t = t.last_record_offset
 
 let durable_bytes t =
   match t.bytes_cache with

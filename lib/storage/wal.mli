@@ -103,6 +103,10 @@ val durable_size : t -> int
 (** {e Global} end offset of the durable prefix — monotone over the whole
     log history, unaffected by retirement. *)
 
+val last_record_offset : t -> int
+(** Global offset where the last record of the latest successful
+    non-empty {!flush} starts: that record ends at {!durable_size}. *)
+
 val retained_size : t -> int
 (** Bytes currently held: [durable_size - retired_offset]. The live WAL
     disk footprint. *)

@@ -3,6 +3,7 @@ type writer = Buffer.t
 let writer () = Buffer.create 64
 
 let contents w = Buffer.to_bytes w
+let length = Buffer.length
 
 (* The byte loop treats the int as an unsigned 63-bit quantity ([lsr]
    everywhere), so zigzag outputs — which may be negative as OCaml ints —

@@ -10,6 +10,7 @@ type writer
 
 val writer : unit -> writer
 val contents : writer -> bytes
+val length : writer -> int  (** Bytes written so far. *)
 
 val write_uvarint : writer -> int -> unit
 (** Unsigned varint; the argument must be non-negative. *)

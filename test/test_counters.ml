@@ -60,6 +60,17 @@ let zeroed_by_reset =
     ]
   @ List.filter (fun k -> k <> "intern.events") session_wide_keys
 
+(* Each shard's own keys, attached to its session's registry. All but the
+   two peaks, [fleet.rounds] and [fleet.mailbox_hwm], are counters. *)
+let fleet_keys =
+  List.map (( ^ ) "fleet.")
+    [
+      "aborted"; "committed"; "failed"; "foreign"; "forwards_in"; "forwards_out"; "mailbox_hwm";
+      "rounds"; "tasks"; "trigger_forwards";
+    ]
+
+let fleet_peaks = [ "fleet.mailbox_hwm"; "fleet.rounds" ]
+
 let kind_name = function `Mem -> "mem" | `Disk -> "disk"
 
 (* Cards with both credit-card triggers, a mix of buys and payments (some
@@ -107,8 +118,44 @@ let sharded_key_set () =
       ~schema:(fun ~shard:_ env -> Credit_card.define_all env)
       ()
   in
-  Alcotest.(check (list string)) "fleet keys" (session_keys `Mem)
+  Alcotest.(check (list string)) "fleet keys"
+    (List.sort String.compare (session_keys `Mem @ fleet_keys))
     (List.sort String.compare (keys (Sharded.counters fleet)));
+  Sharded.shutdown fleet
+
+(* The fleet's counters cover the same window as the session's: a reset
+   on every shard zeroes each fleet.* counter and keeps the two peaks. *)
+let fleet_reset_keeps_peaks () =
+  let k = 2 in
+  let fleet =
+    Sharded.create ~shards:k ~mode:Sharded.Deterministic
+      ~schema:(fun ~shard:_ env -> Credit_card.define_all env)
+      ()
+  in
+  for key = 0 to k - 1 do
+    Sharded.submit fleet ~key (fun ctx txn ->
+        let env = ctx.Sharded.session in
+        let customer = Credit_card.new_customer env txn ~name:"c" in
+        let card = Credit_card.new_card env txn ~customer ~limit:100.0 () in
+        let big_buy = Session.user_event_id env txn card "BigBuy" in
+        ctx.Sharded.forward ~payload:[ Value.Float 1.0 ] ~obj:card ~event:big_buy ())
+  done;
+  Sharded.sync fleet;
+  let before = Sharded.counters fleet in
+  for key = 0 to k - 1 do
+    Sharded.with_shard fleet ~key Session.reset_counters
+  done;
+  let after = Sharded.counters fleet in
+  let value counters key = List.assoc key counters in
+  List.iter
+    (fun key -> Alcotest.(check bool) (key ^ " moved before the reset") true (value before key > 0))
+    (fleet_peaks @ [ "fleet.tasks"; "fleet.committed"; "fleet.forwards_out"; "fleet.forwards_in" ]);
+  List.iter
+    (fun key ->
+      if List.mem key fleet_peaks then
+        Alcotest.(check int) (key ^ " kept") (value before key) (value after key)
+      else Alcotest.(check int) (key ^ " zeroed") 0 (value after key))
+    fleet_keys;
   Sharded.shutdown fleet
 
 let reset_zeroes_counters_only kind () =
@@ -136,6 +183,7 @@ let suite =
     Alcotest.test_case "session key set (mem)" `Quick (session_key_set `Mem);
     Alcotest.test_case "session key set (disk)" `Quick (session_key_set `Disk);
     Alcotest.test_case "sharded key set" `Quick sharded_key_set;
+    Alcotest.test_case "fleet reset keeps peaks" `Quick fleet_reset_keeps_peaks;
     Alcotest.test_case "reset zeroes counters only (mem)" `Quick (reset_zeroes_counters_only `Mem);
     Alcotest.test_case "reset zeroes counters only (disk)" `Quick
       (reset_zeroes_counters_only `Disk);

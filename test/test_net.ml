@@ -321,8 +321,9 @@ let api_flows () =
   let stats = Client.stats c in
   Alcotest.(check bool) "stats carries net.shards" true
     (List.assoc_opt "net.shards" stats = Some k);
-  Alcotest.(check (list string)) "stats keys: the session's plus net.*"
-    (List.sort String.compare (Test_counters.session_keys `Mem @ net_keys))
+  Alcotest.(check (list string)) "stats keys: the session's plus fleet.* and net.*"
+    (List.sort String.compare
+       (Test_counters.session_keys `Mem @ Test_counters.fleet_keys @ net_keys))
     (List.map fst stats);
   (* The fleet is idle once the reply is in: read each shard directly. *)
   let per_shard key =

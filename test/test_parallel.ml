@@ -469,21 +469,33 @@ let builder_failure_reraised () =
   done;
   Sharded.shutdown (Sharded.create ~shards:k ~mode:Sharded.Deterministic ~schema:plain_schema ())
 
-(* At K=4 every shard's callback runs on a domain of its own, shard 0's
-   on the caller's. *)
+(* One domain per shard for its whole life: at K=4, on create and on
+   recover, each shard's schema callback runs on the same domain as a
+   task later submitted to that shard, and none runs on the caller's. *)
 let shards_build_on_own_domains () =
   let k = 4 in
+  let caller = (Domain.self () :> int) in
   let check side build =
-    let seen = Array.make k (-1) in
+    let built = Array.make k (-1) and served = Array.make k (-1) in
     let schema ~shard s =
-      seen.(shard) <- (Domain.self () :> int);
+      built.(shard) <- (Domain.self () :> int);
       define_schema ~logf:ignore s
     in
     let fleet = build schema in
-    Alcotest.(check int) (side ^ ": shard 0 on the caller's domain") (Domain.self () :> int)
-      seen.(0);
+    for key = 0 to k - 1 do
+      Sharded.submit fleet ~key (fun ctx _ -> served.(ctx.Sharded.shard) <- (Domain.self () :> int))
+    done;
+    Sharded.sync fleet;
+    Array.iteri
+      (fun i d ->
+        Alcotest.(check int) (Printf.sprintf "%s: shard %d served where it was built" side i) d
+          served.(i);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: shard %d not built on the caller's domain" side i)
+          true (d <> caller))
+      built;
     Alcotest.(check int) (side ^ ": one domain per shard") k
-      (List.length (List.sort_uniq compare (Array.to_list seen)));
+      (List.length (List.sort_uniq compare (Array.to_list built)));
     fleet
   in
   let fleet =
@@ -492,6 +504,31 @@ let shards_build_on_own_domains () =
   let image = Sharded.crash fleet in
   Sharded.shutdown
     (check "recover" (fun schema -> Sharded.recover ~mode:Sharded.Deterministic ~schema image))
+
+(* [Domain.self] ids count spawns, so a probe domain spawned and joined
+   before and after [f] brackets the domains [f] spawned. *)
+let domains_spawned f =
+  let probe () = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  let before = probe () in
+  let x = f () in
+  (x, probe () - before - 1)
+
+let fleet_spawns_k_domains () =
+  List.iter
+    (fun k ->
+      let fleet, n =
+        domains_spawned (fun () ->
+            Sharded.create ~shards:k ~mode:Sharded.Deterministic ~schema:plain_schema ())
+      in
+      Alcotest.(check int) (Printf.sprintf "create at K=%d" k) k n;
+      let image = Sharded.crash fleet in
+      let fleet, n =
+        domains_spawned (fun () ->
+            Sharded.recover ~mode:Sharded.Deterministic ~schema:plain_schema image)
+      in
+      Alcotest.(check int) (Printf.sprintf "recover at K=%d" k) k n;
+      Sharded.shutdown fleet)
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fleet crash sweep (Crashlab-style): K=2 disk-backed shards, one
@@ -744,6 +781,7 @@ let suite =
     Alcotest.test_case "reordered schema rejected" `Quick reordered_schema_rejected;
     Alcotest.test_case "builder failure re-raised after join" `Quick builder_failure_reraised;
     Alcotest.test_case "shards build on their own domains" `Quick shards_build_on_own_domains;
+    Alcotest.test_case "a fleet spawns exactly K domains" `Quick fleet_spawns_k_domains;
     Alcotest.test_case "fleet crash sweep at every WAL-flush point" `Quick fleet_crash_sweep;
     Alcotest.test_case "recovery keeps every shard's settings" `Quick recover_keeps_shard_settings;
     Alcotest.test_case "counters merge by kind" `Quick counters_merge_by_kind;
