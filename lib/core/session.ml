@@ -104,7 +104,7 @@ and method_impl = method_ctx -> Value.t list -> Value.t
 
 and class_entry = {
   c_name : string;
-  c_parents : string list;
+  c_ancestors : string list;  (* the class and its ancestors, in resolution order *)
   c_own_fields : (string * Value.t) list;
   c_all_fields : (string * Value.t) list;
   c_methods : (string * method_impl) list;
@@ -240,20 +240,7 @@ let class_entry t cls =
   | Some entry -> entry
   | None -> fail "unknown class %s" cls
 
-(* Depth-first, left-to-right linearisation with duplicates removed: the
-   method/event resolution order. *)
-let ancestors t cls =
-  let seen = Hashtbl.create 8 in
-  let order = ref [] in
-  let rec visit cls =
-    if not (Hashtbl.mem seen cls) then begin
-      Hashtbl.replace seen cls ();
-      order := cls :: !order;
-      List.iter visit (class_entry t cls).c_parents
-    end
-  in
-  visit cls;
-  List.rev !order
+let ancestors t cls = (class_entry t cls).c_ancestors
 
 let merge_fields ~cls lists =
   let result = ref [] in
@@ -446,6 +433,16 @@ let define_class t ~name ?(parents = []) ?(fields = []) ?(methods = []) ?(events
     (fun parent -> if not (Hashtbl.mem t.classes parent) then fail "unknown parent class %s" parent)
     parents;
   let inherited_fields = List.map (fun p -> (class_entry t p).c_all_fields) parents in
+  (* Depth-first, left-to-right linearisation with duplicates removed: the
+     method/event resolution order. A parent's own linearisation, less the
+     classes already listed, is exactly what the search visits below it. *)
+  let linearisation =
+    List.fold_left
+      (fun acc cls -> if List.exists (String.equal cls) acc then acc else cls :: acc)
+      []
+      (name :: List.concat_map (ancestors t) parents)
+    |> List.rev
+  in
   let all_fields = merge_fields ~cls:name (inherited_fields @ [ fields ]) in
   (* Constraints (§8: "intra-object constraints as a special case of
      triggers") desugar to perpetual immediate triggers on [any] whose mask
@@ -485,7 +482,7 @@ let define_class t ~name ?(parents = []) ?(fields = []) ?(methods = []) ?(events
   let entry =
     {
       c_name = name;
-      c_parents = parents;
+      c_ancestors = linearisation;
       c_own_fields = fields;
       c_all_fields = all_fields;
       c_methods = methods;

@@ -8,10 +8,31 @@ type outcome = Granted | Blocked of int list
 
 exception Deadlock of { victim : int; cycle : int list }
 
+(* A record hashes by its rid alone. The two stores of a session share one
+   manager, so their same-numbered rids share a bucket; [equal] compares
+   the rid first and tells them apart by store name. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    match (a, b) with
+    | Record (store, rid), Record (store', rid') -> Rid.equal rid rid' && String.equal store store'
+    | Named name, Named name' -> String.equal name name'
+    | Record _, Named _ | Named _, Record _ -> false
+
+  let hash = function Record (_, rid) -> Rid.to_int rid | Named name -> String.hash name
+end)
+
+module Txn_tbl = Hashtbl.Make (Int)
+
+(* One cell per locked key, from its first grant until its last holder
+   releases: the key and its (txn, mode) holders, oldest first. *)
+type cell = { key : key; mutable holders : (int * mode) list }
+
 type t = {
-  table : (key, (int, mode) Hashtbl.t) Hashtbl.t;
-  waiting : (int, key * mode) Hashtbl.t;
-  held : (int, (key, unit) Hashtbl.t) Hashtbl.t;
+  table : cell Key_tbl.t;
+  waiting : (key * mode) Txn_tbl.t;
+  held : cell list Txn_tbl.t;  (* each transaction's cells, newest first *)
   metrics : Metrics.t;
   s_granted : Metrics.counter;
   x_granted : Metrics.counter;
@@ -23,9 +44,9 @@ type t = {
 let create () =
   let m = Metrics.create () in
   {
-    table = Hashtbl.create 256;
-    waiting = Hashtbl.create 16;
-    held = Hashtbl.create 16;
+    table = Key_tbl.create 256;
+    waiting = Txn_tbl.create 16;
+    held = Txn_tbl.create 16;
     metrics = m;
     s_granted = Metrics.counter m "s_granted";
     x_granted = Metrics.counter m "x_granted";
@@ -36,42 +57,36 @@ let create () =
 
 let metrics t = t.metrics
 
-let holders_tbl t key =
-  match Hashtbl.find_opt t.table key with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 4 in
-      Hashtbl.replace t.table key h;
-      h
+let rec mode_of txn = function
+  | [] -> None
+  | (holder, mode) :: rest -> if holder = txn then Some mode else mode_of txn rest
 
-let conflicting_holders t ~txn key mode =
-  match Hashtbl.find_opt t.table key with
-  | None -> []
-  | Some holders ->
-      Hashtbl.fold
-        (fun holder held acc ->
-          if holder = txn then acc
-          else begin
-            match (mode, held) with
-            | S, S -> acc
-            | S, X | X, S | X, X -> holder :: acc
-          end)
-        holders []
+let rec without txn = function
+  | [] -> []
+  | ((holder, _) as h) :: rest -> if holder = txn then rest else h :: without txn rest
+
+let rec conflicts ~txn mode = function
+  | [] -> []
+  | (holder, held) :: rest ->
+      if holder = txn || (mode = S && held = S) then conflicts ~txn mode rest
+      else holder :: conflicts ~txn mode rest
+
+let holders_of t key = match Key_tbl.find_opt t.table key with Some cell -> cell.holders | None -> []
 
 (* Depth-first search over the waits-for graph looking for a path from any
    of [roots] back to [target]. Edges go from a waiting transaction to the
    holders conflicting with its pending request. *)
 let find_cycle t ~target roots =
-  let visited = Hashtbl.create 16 in
+  let visited = Txn_tbl.create 16 in
   let rec dfs path node =
     if node = target then Some (List.rev (node :: path))
-    else if Hashtbl.mem visited node then None
+    else if Txn_tbl.mem visited node then None
     else begin
-      Hashtbl.replace visited node ();
-      match Hashtbl.find_opt t.waiting node with
+      Txn_tbl.replace visited node ();
+      match Txn_tbl.find_opt t.waiting node with
       | None -> None
       | Some (key, mode) ->
-          let next = conflicting_holders t ~txn:node key mode in
+          let next = conflicts ~txn:node mode (holders_of t key) in
           List.fold_left
             (fun found n -> match found with Some _ -> found | None -> dfs (node :: path) n)
             None next
@@ -81,78 +96,63 @@ let find_cycle t ~target roots =
     (fun found root -> match found with Some _ -> found | None -> dfs [] root)
     None roots
 
-let note_held t ~txn key =
-  let keys =
-    match Hashtbl.find_opt t.held txn with
-    | Some keys -> keys
-    | None ->
-        let keys = Hashtbl.create 8 in
-        Hashtbl.replace t.held txn keys;
-        keys
-  in
-  Hashtbl.replace keys key ()
+let cancel_wait t ~txn = if Txn_tbl.length t.waiting > 0 then Txn_tbl.remove t.waiting txn
 
-let cancel_wait t ~txn = Hashtbl.remove t.waiting txn
+(* [txn]'s first grant on [cell], already in its holder list. *)
+let add_holder t ~txn cell mode =
+  Metrics.incr (match mode with S -> t.s_granted | X -> t.x_granted);
+  let cells = match Txn_tbl.find_opt t.held txn with Some cells -> cells | None -> [] in
+  Txn_tbl.replace t.held txn (cell :: cells);
+  Granted
 
+(* A request first cancels the requester's pending wait; if it blocks
+   again, the wait is re-registered with this request. *)
 let acquire t ~txn key mode =
-  let holders = holders_tbl t key in
-  let current = Hashtbl.find_opt holders txn in
-  let already_sufficient =
-    match (current, mode) with Some X, _ -> true | Some S, S -> true | Some S, X | None, _ -> false
-  in
-  if already_sufficient then begin
-    cancel_wait t ~txn;
-    Granted
-  end
-  else begin
-    let conflicts = conflicting_holders t ~txn key mode in
-    if conflicts = [] then begin
-      (match (current, mode) with
-      | Some S, X ->
+  cancel_wait t ~txn;
+  match Key_tbl.find_opt t.table key with
+  | None ->
+      let cell = { key; holders = [ (txn, mode) ] } in
+      Key_tbl.add t.table key cell;
+      add_holder t ~txn cell mode
+  | Some cell -> (
+      match (mode_of txn cell.holders, mode, conflicts ~txn mode cell.holders) with
+      | Some X, _, _ | Some S, S, _ -> Granted
+      | Some S, X, [] ->
+          (* Only a sole holder meets no conflict: it upgrades in place. *)
           Metrics.incr t.upgrades;
-          Metrics.incr t.x_granted
-      | None, S -> Metrics.incr t.s_granted
-      | None, X -> Metrics.incr t.x_granted
-      | Some X, _ | Some S, S -> ());
-      Hashtbl.replace holders txn mode;
-      note_held t ~txn key;
-      cancel_wait t ~txn;
-      Granted
-    end
-    else begin
-      Metrics.incr t.blocks;
-      Hashtbl.replace t.waiting txn (key, mode);
-      match find_cycle t ~target:txn conflicts with
-      | Some cycle ->
-          cancel_wait t ~txn;
-          Metrics.incr t.deadlocks;
-          raise (Deadlock { victim = txn; cycle })
-      | None -> Blocked conflicts
-    end
-  end
+          Metrics.incr t.x_granted;
+          cell.holders <- [ (txn, X) ];
+          Granted
+      | None, _, [] ->
+          cell.holders <- cell.holders @ [ (txn, mode) ];
+          add_holder t ~txn cell mode
+      | _, _, conflicts -> (
+          Metrics.incr t.blocks;
+          Txn_tbl.add t.waiting txn (key, mode);
+          match find_cycle t ~target:txn conflicts with
+          | Some cycle ->
+              cancel_wait t ~txn;
+              Metrics.incr t.deadlocks;
+              raise (Deadlock { victim = txn; cycle })
+          | None -> Blocked conflicts))
 
 let release_all t ~txn =
   cancel_wait t ~txn;
-  (match Hashtbl.find_opt t.held txn with
+  match Txn_tbl.find_opt t.held txn with
   | None -> ()
-  | Some keys ->
-      Hashtbl.iter
-        (fun key () ->
-          match Hashtbl.find_opt t.table key with
-          | None -> ()
-          | Some holders ->
-              Hashtbl.remove holders txn;
-              if Hashtbl.length holders = 0 then Hashtbl.remove t.table key)
-        keys);
-  Hashtbl.remove t.held txn
+  | Some cells ->
+      Txn_tbl.remove t.held txn;
+      List.iter
+        (fun cell ->
+          match without txn cell.holders with
+          | [] -> Key_tbl.remove t.table cell.key
+          | rest -> cell.holders <- rest)
+        cells
 
-let holds t ~txn key =
-  match Hashtbl.find_opt t.table key with None -> None | Some holders -> Hashtbl.find_opt holders txn
+let holds t ~txn key = mode_of txn (holders_of t key)
 
 let held_keys t ~txn =
-  match Hashtbl.find_opt t.held txn with
-  | None -> []
-  | Some keys -> Hashtbl.fold (fun key () acc -> key :: acc) keys []
+  match Txn_tbl.find_opt t.held txn with None -> [] | Some cells -> List.map (fun cell -> cell.key) cells
 
 let pp_key fmt = function
   | Record (store, rid) -> Format.fprintf fmt "%s/%a" store Rid.pp rid

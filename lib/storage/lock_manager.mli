@@ -11,7 +11,23 @@
     The counters ([s_granted], [x_granted], [upgrades], [blocks],
     [deadlocks]) drive experiment T6 — the paper's §6 observation that
     triggers turn read access into write access and increase lock waits and
-    deadlock likelihood. *)
+    deadlock likelihood.
+
+    Layout. One table maps each locked key to a cell, which holds the key
+    and its [(txn, mode)] holders, oldest first; the cell exists from the
+    key's first grant until its last holder releases. A record key hashes
+    by its rid's integer alone and compares rid first, then store name,
+    so the two stores of a session share buckets but never locks. A
+    second, integer-keyed table maps each transaction to the cells it
+    holds, and [release_all] walks that list. A third holds the pending
+    waits, the waits-for graph's edges.
+
+    Cost. A request hashes its key once (an integer for a record) and
+    scans the cell's few holders: no polymorphic hash and no table is
+    built per key or per transaction. A first grant allocates the cell,
+    one holder and one held-list entry; an upgrade, one holder; a
+    reentrant request, nothing. A request touches the wait table only
+    when some transaction is waiting. *)
 
 type mode = S | X
 

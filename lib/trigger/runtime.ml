@@ -383,29 +383,29 @@ let rebuild_index ?object_exists t txn =
      scan is lock-free; only those deletes run (and lock) in [txn]. *)
   let dangling = ref [] in
   scan_committed t (fun rid payload ->
-      match Trigger_state.decode payload with
-      | Trigger_state.State st ->
+      match Trigger_state.decode_index payload with
+      | Some st ->
           let alive =
             match object_exists with
             | None -> true
-            | Some exists -> exists st.Trigger_state.trigobj
+            | Some exists -> exists st.Trigger_state.iv_trigobj
           in
           if alive then begin
             let entry =
               {
                 e_rid = rid;
-                e_cls = st.Trigger_state.trigobjtype;
-                e_index = st.Trigger_state.triggernum;
-                e_state = st.Trigger_state.statenum;
+                e_cls = st.Trigger_state.iv_trigobjtype;
+                e_index = st.Trigger_state.iv_triggernum;
+                e_state = st.Trigger_state.iv_statenum;
                 e_owner = -1;
                 e_info = None;
               }
             in
-            Obj_index.add t.index st.Trigger_state.trigobj entry;
-            List.iter (fun anchor -> Obj_index.add t.index anchor entry) st.Trigger_state.anchors
+            Obj_index.add t.index st.Trigger_state.iv_trigobj entry;
+            List.iter (fun anchor -> Obj_index.add t.index anchor entry) st.Trigger_state.iv_anchors
           end
           else dangling := rid :: !dangling
-      | Trigger_state.Phoenix _ -> t.phoenix_hint <- t.phoenix_hint + 1);
+      | None -> t.phoenix_hint <- t.phoenix_hint + 1);
   List.iter (fun rid -> t.store.Store.delete txn rid) !dangling
 
 (* ------------------------------------------------------------------ *)

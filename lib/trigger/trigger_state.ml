@@ -23,6 +23,14 @@ type phoenix_entry = {
 
 type any = State of t | Phoenix of phoenix_entry
 
+type index_view = {
+  iv_triggernum : int;
+  iv_trigobj : Oid.t;
+  iv_trigobjtype : string;
+  iv_statenum : int;
+  iv_anchors : Oid.t list;
+}
+
 type id = Ode_storage.Rid.t
 
 let encode t =
@@ -46,6 +54,9 @@ let encode_phoenix p =
   Binc.write_list w (Value.write w) p.ph_ev_args;
   Binc.contents w
 
+let bad_tag n = raise (Binc.Corrupt (Printf.sprintf "bad trigger record tag %d" n))
+let read_anchors r = Binc.read_list r (fun () -> Oid.of_int (Binc.read_uvarint r))
+
 let decode bytes =
   let r = Binc.reader bytes in
   match Binc.read_uvarint r with
@@ -55,7 +66,7 @@ let decode bytes =
       let trigobjtype = Binc.read_string r in
       let statenum = Binc.read_varint r in
       let args = Binc.read_list r (fun () -> Value.read r) in
-      let anchors = Binc.read_list r (fun () -> Oid.of_int (Binc.read_uvarint r)) in
+      let anchors = read_anchors r in
       State { triggernum; trigobj; trigobjtype; statenum; args; anchors }
   | 1 ->
       let ph_cls = Binc.read_string r in
@@ -64,7 +75,23 @@ let decode bytes =
       let ph_args = Binc.read_list r (fun () -> Value.read r) in
       let ph_ev_args = Binc.read_list r (fun () -> Value.read r) in
       Phoenix { ph_cls; ph_triggernum; ph_obj; ph_args; ph_ev_args }
-  | n -> raise (Binc.Corrupt (Printf.sprintf "bad trigger record tag %d" n))
+  | n -> bad_tag n
+
+let decode_index bytes =
+  let r = Binc.reader bytes in
+  match Binc.read_uvarint r with
+  | 0 ->
+      let iv_triggernum = Binc.read_uvarint r in
+      let iv_trigobj = Oid.of_int (Binc.read_uvarint r) in
+      let iv_trigobjtype = Binc.read_string r in
+      let iv_statenum = Binc.read_varint r in
+      for _ = 1 to Binc.read_uvarint r do
+        Value.skip r
+      done;
+      let iv_anchors = read_anchors r in
+      Some { iv_triggernum; iv_trigobj; iv_trigobjtype; iv_statenum; iv_anchors }
+  | 1 -> None
+  | n -> bad_tag n
 
 let with_statenum t statenum = { t with statenum }
 

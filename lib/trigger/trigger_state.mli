@@ -47,6 +47,20 @@ val encode_phoenix : phoenix_entry -> bytes
 val decode : bytes -> any
 (** Raises {!Ode_util.Binc.Corrupt} on malformed input. *)
 
+(** What the activation index keeps of a state record: all but [args]. *)
+type index_view = {
+  iv_triggernum : int;
+  iv_trigobj : Ode_objstore.Oid.t;
+  iv_trigobjtype : string;
+  iv_statenum : int;
+  iv_anchors : Ode_objstore.Oid.t list;
+}
+
+val decode_index : bytes -> index_view option
+(** Reads a state record's index fields and skips its args without
+    building them; [None] for a phoenix entry, which is not read further.
+    Raises {!Ode_util.Binc.Corrupt} on a bad tag or a truncated state. *)
+
 val with_statenum : t -> int -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -52,6 +52,67 @@ let read_counts () =
   Session.with_snapshot env (fun txn ->
       Alcotest.(check (float 0.0)) "AutoRaiseLimit fired" 1010.0 (Credit_card.limit env txn card))
 
+(* Lock grants per transaction: one extra acquire on the commit path
+   moves one of these. *)
+let lock_grants env f =
+  let grants () =
+    List.map
+      (fun name -> List.assoc ("locks." ^ name) (Session.counters env))
+      [ "s_granted"; "x_granted"; "upgrades" ]
+  in
+  let before = grants () in
+  f ();
+  List.map2 ( - ) (grants ()) before
+
+let lock_counts () =
+  let env, card, merchant = card_env () in
+  let check msg expected f =
+    Alcotest.(check (list int)) (msg ^ ": S, X, upgrades") expected (lock_grants env f)
+  in
+  check "Buy" [ 3; 2; 2 ] (fun () ->
+      Session.with_txn env (fun txn -> Credit_card.buy env txn card ~merchant ~amount:1.0));
+  check "PayBill, firing AutoRaiseLimit" [ 2; 2; 2 ] (fun () ->
+      Session.with_txn env (fun txn -> Credit_card.pay_bill env txn card ~amount:1.0))
+
+(* One trigger_fanin transaction's lock traffic on a bare manager: 8
+   object S, 7 trigger S, 6 trigger upgrades and one object X, then the
+   commit's release_all. Keys are built per request, as the stores do. *)
+module Lm = Ode_storage.Lock_manager
+
+let lock_cycle lm txn =
+  let base = txn * 16 land 0xffff in
+  let obj i = Lm.Record ("objects", Ode_storage.Rid.of_int (base + i)) in
+  let trg i = Lm.Record ("triggers", Ode_storage.Rid.of_int (base + i)) in
+  let acquire key mode =
+    match Lm.acquire lm ~txn key mode with
+    | Lm.Granted -> ()
+    | Lm.Blocked _ -> Alcotest.fail "a lone transaction blocked"
+  in
+  for i = 0 to 7 do
+    acquire (obj i) Lm.S
+  done;
+  for i = 0 to 6 do
+    acquire (trg i) Lm.S
+  done;
+  for i = 0 to 5 do
+    acquire (trg i) Lm.X
+  done;
+  acquire (obj 8) Lm.X;
+  Lm.release_all lm ~txn
+
+let lock_cycle_words () =
+  let lm = Lm.create () in
+  for txn = 1 to 1_000 do
+    lock_cycle lm txn
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for txn = 1 to n do
+    lock_cycle lm txn
+  done;
+  let per_txn = (Gc.minor_words () -. before) /. float n in
+  if per_txn > 480.0 then Alcotest.failf "a 22-request lock cycle allocates %.1f minor words" per_txn
+
 let snapshot_read_words () =
   let env, card, _ = card_env () in
   for _ = 1 to 100 do
@@ -83,6 +144,8 @@ let finished_txns_leave_no_heap () =
 let suite =
   [
     Alcotest.test_case "record reads per operation" `Quick read_counts;
+    Alcotest.test_case "lock grants per transaction" `Quick lock_counts;
+    Alcotest.test_case "lock cycle allocation bound" `Quick lock_cycle_words;
     Alcotest.test_case "snapshot get_field allocation bound" `Quick snapshot_read_words;
     Alcotest.test_case "finished transactions leave no heap" `Quick finished_txns_leave_no_heap;
   ]

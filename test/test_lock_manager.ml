@@ -112,16 +112,33 @@ let three_way_cycle () =
   Lm.release_all lm ~txn:2;
   granted "t1 proceeds" (Lm.acquire lm ~txn:1 (key 1) Lm.X)
 
+(* The two stores of a session share one manager, and a record key
+   hashes by its rid alone: same-numbered rids of different stores share
+   a bucket but must stay distinct locks. *)
+let stores_share_rids () =
+  let lm = Lm.create () in
+  let obj = Lm.Record ("objects", Rid.of_int 7) and trg = Lm.Record ("triggers", Rid.of_int 7) in
+  granted "t1 X objects/r7" (Lm.acquire lm ~txn:1 obj Lm.X);
+  granted "t2 X triggers/r7" (Lm.acquire lm ~txn:2 trg Lm.X);
+  Alcotest.(check bool) "t1 does not hold triggers/r7" true (Lm.holds lm ~txn:1 trg = None);
+  Lm.release_all lm ~txn:1;
+  Alcotest.(check bool) "t2 still holds triggers/r7" true (Lm.holds lm ~txn:2 trg = Some Lm.X);
+  Alcotest.(check bool) "objects/r7 is free" true (Lm.holds lm ~txn:1 obj = None);
+  blocked_by "t3 still waits on t2" [ 2 ] (Lm.acquire lm ~txn:3 trg Lm.S);
+  granted "t3 takes objects/r7" (Lm.acquire lm ~txn:3 obj Lm.X)
+
 (* Seeded random schedule vs a reference model. The model tracks holders
    per key ({txn, mode} sets) and derives grant/block from the S/X
    compatibility matrix, including sole-holder upgrades. Deadlock is not
    modelled (requests that block simply drop in the model, as the real
    scheduler's retry does), so schedules avoid mutual waits by releasing
-   a blocked transaction's holds immediately with probability 1/2. *)
+   a blocked transaction's holds immediately with probability 1/2. Keys
+   come from two stores whose rids overlap. *)
 let random_schedule_vs_model () =
   Seeds.with_seed "lock_manager schedule" (fun seed ->
       let prng = Random.State.make [| seed; 0x10CC |] in
       let txns = 6 and keys = 4 and steps = 2000 in
+      let key k = Lm.Record ((if k land 1 = 0 then "objects" else "triggers"), Rid.of_int (k / 2)) in
       let lm = Lm.create () in
       (* model: (key -> (txn * mode) list), no waits *)
       let holders = Array.make keys [] in
@@ -212,5 +229,6 @@ let suite =
     Alcotest.test_case "upgrade race resolves by victim abort" `Quick upgrade_race;
     Alcotest.test_case "release ordering unblocks all waiters" `Quick release_ordering;
     Alcotest.test_case "three-way cycle detection and drain" `Quick three_way_cycle;
+    Alcotest.test_case "same rid in two stores" `Quick stores_share_rids;
     Alcotest.test_case "seeded schedule vs compatibility model" `Quick random_schedule_vs_model;
   ]

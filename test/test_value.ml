@@ -117,6 +117,49 @@ let qcheck_truncated =
               && raises_corrupt (fun () -> Objrec.with_field cut name v))
         (List.init (Bytes.length payload) Fun.id))
 
+(* The activation index's reader skips a state's args: it must read the
+   same fields as [decode], whatever the args, and pass over phoenix
+   entries. *)
+module Trigger_state = Ode_trigger.Trigger_state
+
+let arbitrary_state =
+  let open QCheck.Gen in
+  let oid = map Oid.of_int (int_bound 1_000_000) in
+  let gen =
+    let* triggernum = int_bound 64 and* trigobj = oid and* trigobjtype = multibyte_string in
+    let* statenum = oneof [ int_bound 50; return Trigger_state.dead_state ] in
+    let* args = list_size (int_bound 4) (multibyte_value 8) in
+    let* anchors = list_size (int_bound 3) oid in
+    return { Trigger_state.triggernum; trigobj; trigobjtype; statenum; args; anchors }
+  in
+  QCheck.make ~print:(Format.asprintf "%a" Trigger_state.pp) gen
+
+let qcheck_state_index_view =
+  QCheck.Test.make ~name:"trigger state decode_index agrees with decode" ~count:500
+    arbitrary_state (fun st ->
+      let payload = Trigger_state.encode st in
+      let phoenix =
+        Trigger_state.encode_phoenix
+          {
+            Trigger_state.ph_cls = st.trigobjtype;
+            ph_triggernum = st.triggernum;
+            ph_obj = st.trigobj;
+            ph_args = st.args;
+            ph_ev_args = [];
+          }
+      in
+      Option.is_none (Trigger_state.decode_index phoenix)
+      &&
+      match (Trigger_state.decode payload, Trigger_state.decode_index payload) with
+      | Trigger_state.State full, Some iv ->
+          Trigger_state.equal full st
+          && iv.iv_triggernum = st.triggernum
+          && Oid.equal iv.iv_trigobj st.trigobj
+          && String.equal iv.iv_trigobjtype st.trigobjtype
+          && iv.iv_statenum = st.statenum
+          && List.equal Oid.equal iv.iv_anchors st.anchors
+      | (Trigger_state.State _ | Trigger_state.Phoenix _), _ -> false)
+
 let qcheck_roundtrip =
   QCheck.Test.make ~name:"value codec roundtrips" ~count:1000 arbitrary_value (fun v ->
       Value.equal v (Value.decode (Value.encode v)))
@@ -188,6 +231,7 @@ let suite =
     Alcotest.test_case "objrec codec roundtrip" `Quick objrec_roundtrip;
     Alcotest.test_case "objrec field operations" `Quick objrec_operations;
     seeded qcheck_payload_reads;
+    seeded qcheck_state_index_view;
     seeded qcheck_with_field;
     seeded qcheck_unknown_field;
     seeded qcheck_truncated;
