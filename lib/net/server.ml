@@ -38,10 +38,10 @@ let addr_to_string = function
 (* ---------------- connection state ---------------- *)
 
 (* A slot holds a stream's open interactive transaction. It is only ever
-   touched from the transaction's home-shard domain; the reactor routes
-   every request of an open transaction to that one shard, and the
-   mailbox hand-off provides the happens-before between consecutive
-   stream requests that land on different shards between transactions. *)
+   touched from the transaction's home-shard domain; every request of an
+   open transaction goes to that one shard, and the mailbox hand-off
+   provides the happens-before between consecutive stream requests that
+   land on different shards between transactions. *)
 type slot = { mutable sl_txn : Txn.t option }
 
 type pending = { p_sync : int; p_req : P.request }
@@ -49,8 +49,9 @@ type pending = { p_sync : int; p_req : P.request }
 type stream = {
   st_id : int;
   st_queue : pending Queue.t;
-  mutable st_busy : bool;  (* a request of this stream is on a shard *)
-  mutable st_txn : int option;  (* open txn's home shard (reactor view) *)
+  mutable st_inflight : int;  (* requests of this stream on a shard *)
+  mutable st_shard : int;  (* ... and their shard, -1 for a fan-out *)
+  mutable st_txn : int option;  (* open txn's home shard, as of the last completion *)
   st_slot : slot;
 }
 
@@ -114,6 +115,8 @@ type t = {
   done_mu : Mutex.t;
   mutable done_q : done_msg list;  (* newest first *)
   (* reactor-only: *)
+  read_buf : Bytes.t;
+  wake_buf : Bytes.t;
   pending_posts : (Session.t -> unit) list array;  (* per shard, newest first *)
   mutable conns : conn list;
   mutable next_conn : int;
@@ -144,6 +147,7 @@ type t = {
   n_flushes : Metrics.counter;
   n_batched : Metrics.counter;
   n_dispatched : Metrics.counter;
+  n_pipelined : Metrics.counter;
   n_defines : Metrics.counter;
   n_hello_rejects : Metrics.counter;
 }
@@ -222,42 +226,45 @@ let run_op session txn = function
 let abort_quietly session txn =
   if Txn.is_active txn then try Session.abort session txn with _ -> ()
 
+let no_txn = fail_ P.E_bad_request "no open transaction on stream"
+
 (* Execute one request on its home shard. [slot] is the stream's txn slot
-   (a throwaway for stream 0), [txn_before] the reactor's view of the open
-   txn's shard at dispatch time. Returns nothing; the reply and the
+   (a throwaway for stream 0). The slot, not the reactor's view at
+   dispatch time, decides: a request that rode behind in-flight ones of
+   its stream sees what they left. Returns nothing; the reply and the
    updated txn state travel back through the completion lane. *)
-let exec t conn ~sync ~stream ~shard ~txn_before slot req session =
-  let reply, txn_after =
+let exec t conn ~sync ~stream ~shard slot req session =
+  let reply =
     match req with
     | P.Txn_begin _ -> (
         match slot.sl_txn with
-        | Some _ -> (fail_ P.E_bad_request "transaction already open on stream", txn_before)
+        | Some _ -> fail_ P.E_bad_request "transaction already open on stream"
         | None ->
             slot.sl_txn <- Some (Session.begin_txn session);
-            (P.Done P.P_unit, Some shard))
+            P.Done P.P_unit)
     | P.Txn_commit -> (
         match slot.sl_txn with
-        | None -> (fail_ P.E_bad_request "no open transaction", None)
+        | None -> no_txn
         | Some txn -> (
             slot.sl_txn <- None;
             match Session.commit session txn with
-            | () -> (P.Done P.P_unit, None)
+            | () -> P.Done P.P_unit
             | exception e ->
                 abort_quietly session txn;
-                (reply_of_exn e, None)))
+                reply_of_exn e))
     | P.Txn_abort -> (
         match slot.sl_txn with
-        | None -> (fail_ P.E_bad_request "no open transaction", None)
+        | None -> no_txn
         | Some txn ->
             slot.sl_txn <- None;
             abort_quietly session txn;
-            (P.Done P.P_unit, None))
+            P.Done P.P_unit)
     | P.Snapshot_get { obj; field } -> (
         match
           Session.with_snapshot session (fun txn -> Session.get_field session txn obj field)
         with
-        | v -> (P.Done (P.P_value v), txn_before)
-        | exception e -> (reply_of_exn e, txn_before))
+        | v -> P.Done (P.P_value v)
+        | exception e -> reply_of_exn e)
     | req -> (
         match slot.sl_txn with
         | Some txn -> (
@@ -265,18 +272,18 @@ let exec t conn ~sync ~stream ~shard ~txn_before slot req session =
                failure poisons and rolls back the whole transaction —
                partial interactive state is never left behind. *)
             match run_op session txn req with
-            | p -> (P.Done p, Some shard)
+            | p -> P.Done p
             | exception e ->
                 slot.sl_txn <- None;
                 abort_quietly session txn;
-                (reply_of_exn e, None))
+                reply_of_exn e)
         | None -> (
             match Session.with_txn session (fun txn -> run_op session txn req) with
-            | p -> (P.Done p, txn_before)
-            | exception e -> (reply_of_exn e, txn_before)))
+            | p -> P.Done p
+            | exception e -> reply_of_exn e))
   in
   enqueue_reply conn ~sync reply;
-  complete t (D_op { dconn = conn; dstream = stream; dtxn = txn_after })
+  complete t (D_op { dconn = conn; dstream = stream; dtxn = Option.map (fun _ -> shard) slot.sl_txn })
 
 (* Fan one request out to all K shards (define_class, stats); [finish]
    runs on the shard domain that completes last and must enqueue the
@@ -345,8 +352,8 @@ let get_stream conn id =
   | Some st -> st
   | None ->
       let st =
-        { st_id = id; st_queue = Queue.create (); st_busy = false; st_txn = None;
-          st_slot = { sl_txn = None } }
+        { st_id = id; st_queue = Queue.create (); st_inflight = 0; st_shard = -1;
+          st_txn = None; st_slot = { sl_txn = None } }
       in
       Hashtbl.add conn.c_streams id st;
       st
@@ -370,23 +377,26 @@ let synthetic_abort t (slot : slot) ~shard =
       | None -> ());
       complete t D_abort)
 
-(* Dispatch one request. Either enqueues an immediate reply ([`Replied])
-   or hands it to a shard / the define lane ([`Dispatched]). *)
+let dispatch_to t conn ~sync ~stream slot ~shard req =
+  Metrics.incr t.n_dispatched;
+  t.inflight <- t.inflight + 1;
+  conn.c_inflight <- conn.c_inflight + 1;
+  (* Buffered, not posted: the reactor flushes each shard's batch with
+     one mailbox push before it blocks again (flush_posts). *)
+  t.pending_posts.(shard) <- exec t conn ~sync ~stream ~shard slot req :: t.pending_posts.(shard)
+
+(* Dispatch one request of a stream with nothing in flight. Either
+   enqueues an immediate reply ([`Replied]) or hands it to a shard / the
+   define lane ([`Dispatched shard], -1 for a fan-out). *)
 let try_dispatch t conn ~sync ~stream (st : stream option) req =
   let reply r =
     enqueue_reply conn ~sync r;
     `Replied
   in
-  let dispatch ~shard ~txn_before =
-    Metrics.incr t.n_dispatched;
-    t.inflight <- t.inflight + 1;
-    conn.c_inflight <- conn.c_inflight + 1;
+  let dispatch ~shard =
     let slot = match st with Some s -> s.st_slot | None -> throwaway_slot () in
-    (* Buffered, not posted: the reactor flushes each shard's batch with
-       one mailbox push before it blocks again (flush_posts). *)
-    t.pending_posts.(shard) <-
-      exec t conn ~sync ~stream ~shard ~txn_before slot req :: t.pending_posts.(shard);
-    `Dispatched
+    dispatch_to t conn ~sync ~stream slot ~shard req;
+    `Dispatched shard
   in
   let txn_before = match st with Some s -> s.st_txn | None -> None in
   let obj_op obj =
@@ -398,7 +408,7 @@ let try_dispatch t conn ~sync ~stream (st : stream option) req =
              (Printf.sprintf
                 "object %d lives on shard %d but the stream's transaction is pinned to shard %d"
                 (Oid.to_int obj) shard pinned))
-    | _ -> dispatch ~shard ~txn_before
+    | _ -> dispatch ~shard
   in
   match req with
   | P.Hello _ -> reply (fail_ P.E_bad_request "duplicate hello")
@@ -410,27 +420,27 @@ let try_dispatch t conn ~sync ~stream (st : stream option) req =
   | P.Stats ->
       conn.c_inflight <- conn.c_inflight + 1;
       run_stats t conn ~sync ~stream ~txn_before;
-      `Dispatched
+      `Dispatched (-1)
   | P.Define_class { source } ->
       conn.c_inflight <- conn.c_inflight + 1;
       let job = { dj_conn = conn; dj_sync = sync; dj_stream = stream; dj_source = source } in
       if t.define_busy then Queue.add job t.defines else run_define t job;
-      `Dispatched
+      `Dispatched (-1)
   | P.Txn_begin { key } -> (
       match st with
       | None -> reply (fail_ P.E_bad_request "interactive transactions need a stream (> 0)")
       | Some _ when txn_before <> None ->
           reply (fail_ P.E_bad_request "transaction already open on stream")
-      | Some _ -> dispatch ~shard:(Sharded.shard_of t.fleet key) ~txn_before)
+      | Some _ -> dispatch ~shard:(Sharded.shard_of t.fleet key))
   | P.Txn_commit | P.Txn_abort -> (
       match txn_before with
-      | None -> reply (fail_ P.E_bad_request "no open transaction on stream")
-      | Some shard -> dispatch ~shard ~txn_before)
+      | None -> reply no_txn
+      | Some shard -> dispatch ~shard)
   | P.New_obj _ -> (
       (* No oid yet: run on the pinned shard inside a txn, shard 0 outside. *)
       match txn_before with
-      | Some shard -> dispatch ~shard ~txn_before
-      | None -> dispatch ~shard:0 ~txn_before)
+      | Some shard -> dispatch ~shard
+      | None -> dispatch ~shard:0)
   | P.Delete_obj { obj }
   | P.Get_field { obj; _ }
   | P.Set_field { obj; _ }
@@ -445,16 +455,41 @@ let try_dispatch t conn ~sync ~stream (st : stream option) req =
       (match txn_before with
       | Some pinned when pinned <> shard ->
           reply (fail_ P.E_cross_shard "activation lives outside the pinned shard")
-      | _ -> dispatch ~shard ~txn_before)
+      | _ -> dispatch ~shard)
+
+(* Whether [req] goes to the shard of the stream's in-flight requests
+   whatever they leave behind: the stream's transaction open there, or
+   none. Such a request rides behind them now; the shard's FIFO lane
+   keeps the stream's requests in submission order. *)
+let rides t st req =
+  let home key = Sharded.shard_of t.fleet key = st.st_shard in
+  st.st_shard >= 0
+  &&
+  match req with
+  | P.Delete_obj { obj } | P.Get_field { obj; _ } | P.Set_field { obj; _ } | P.Invoke { obj; _ }
+  | P.Post_event { obj; _ } | P.Activate { obj; _ } | P.Snapshot_get { obj; _ } ->
+      home (Oid.to_int obj)
+  | P.Deactivate { tid = key } | P.Txn_begin { key } -> home key
+  | P.Txn_commit | P.Txn_abort -> true
+  | P.New_obj _ -> st.st_shard = 0
+  | P.Hello _ | P.Ping | P.Stats | P.Define_class _ | P.Shutdown -> false
 
 let rec pump_stream t conn st =
-  if (not st.st_busy) && not (Queue.is_empty st.st_queue) then begin
-    let { p_sync; p_req } = Queue.pop st.st_queue in
-    conn.c_queued <- conn.c_queued - 1;
-    match try_dispatch t conn ~sync:p_sync ~stream:st.st_id (Some st) p_req with
-    | `Dispatched -> st.st_busy <- true
-    | `Replied -> pump_stream t conn st
-  end
+  match Queue.peek_opt st.st_queue with
+  | Some { p_sync = sync; p_req = req } when st.st_inflight = 0 || rides t st req ->
+      ignore (Queue.pop st.st_queue);
+      conn.c_queued <- conn.c_queued - 1;
+      if st.st_inflight > 0 then begin
+        Metrics.incr t.n_pipelined;
+        dispatch_to t conn ~sync ~stream:st.st_id st.st_slot ~shard:st.st_shard req;
+        st.st_inflight <- st.st_inflight + 1
+      end
+      else (
+        match try_dispatch t conn ~sync ~stream:st.st_id (Some st) req with
+        | `Dispatched shard -> st.st_inflight <- 1; st.st_shard <- shard
+        | `Replied -> ());
+      pump_stream t conn st
+  | _ -> ()
 
 (* ---------------- reactor: frames & completions ---------------- *)
 
@@ -526,11 +561,11 @@ let close_conn t conn =
     t.conns <- List.filter (fun c -> c != conn) t.conns;
     drop_queued t conn;
     (* Idle streams with an open transaction roll back now; busy ones roll
-       back when their in-flight request completes (handle_done). *)
+       back when their last in-flight request completes (handle_done). *)
     Hashtbl.iter
       (fun _ st ->
         match st.st_txn with
-        | Some shard when not st.st_busy ->
+        | Some shard when st.st_inflight = 0 ->
             st.st_txn <- None;
             synthetic_abort t st.st_slot ~shard
         | _ -> ())
@@ -545,9 +580,10 @@ let handle_done t msg =
     match Hashtbl.find_opt conn.c_streams stream with
     | None -> ()
     | Some st ->
-        st.st_busy <- false;
+        st.st_inflight <- st.st_inflight - 1;
         st.st_txn <- txn;
-        if conn.c_dead || draining t then (
+        if st.st_inflight > 0 then ()
+        else if conn.c_dead || draining t then (
           match txn with
           | Some shard ->
               st.st_txn <- None;
@@ -606,15 +642,13 @@ let flush_conn t conn =
       end
     )
 
-let read_buf = Bytes.create 65536
-
 let handle_read t conn =
-  match Unix.read conn.c_fd read_buf 0 (Bytes.length read_buf) with
+  match Unix.read conn.c_fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 -> close_conn t conn
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> close_conn t conn
   | n -> (
-      P.Chunks.feed conn.c_chunks read_buf 0 n;
+      P.Chunks.feed conn.c_chunks t.read_buf 0 n;
       try
         let rec drain () =
           match P.Chunks.next conn.c_chunks with
@@ -672,10 +706,10 @@ let flush_posts t =
   done
 
 let drain_wake t =
-  let b = Bytes.create 256 in
+  let n = Bytes.length t.wake_buf in
   let rec go () =
-    match Unix.read t.wake_r b 0 256 with
-    | 256 -> go ()
+    match Unix.read t.wake_r t.wake_buf 0 n with
+    | m when m = n -> go ()
     | _ -> ()
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception _ -> ()
@@ -708,7 +742,7 @@ let begin_drain t deadline_opt =
         enqueue_reply j.dj_conn ~sync:j.dj_sync (fail_ P.E_shutdown "server shutting down");
         j.dj_conn.c_inflight <- j.dj_conn.c_inflight - 1;
         match Hashtbl.find_opt j.dj_conn.c_streams j.dj_stream with
-        | Some st -> st.st_busy <- false
+        | Some st -> st.st_inflight <- 0
         | None -> ())
       t.defines;
     Queue.clear t.defines;
@@ -717,7 +751,7 @@ let begin_drain t deadline_opt =
         Hashtbl.iter
           (fun _ st ->
             match st.st_txn with
-            | Some shard when not st.st_busy ->
+            | Some shard when st.st_inflight = 0 ->
                 st.st_txn <- None;
                 synthetic_abort t st.st_slot ~shard
             | _ -> ())
@@ -886,6 +920,8 @@ let start ?(bindings = Opp.no_bindings) ?(max_frame = P.default_max_frame)
       bound = List.map (fun (_, _, b) -> b) bound;
       wake_r;
       wake_w;
+      read_buf = Bytes.create 65536;
+      wake_buf = Bytes.create 256;
       done_mu = Mutex.create ();
       done_q = [];
       pending_posts = Array.make (Sharded.shard_count fleet) [];
@@ -915,6 +951,7 @@ let start ?(bindings = Opp.no_bindings) ?(max_frame = P.default_max_frame)
       n_flushes = Metrics.counter m "net.flushes";
       n_batched = Metrics.counter m "net.batched_frames";
       n_dispatched = Metrics.counter m "net.dispatched";
+      n_pipelined = Metrics.counter m "net.pipelined";
       n_defines = Metrics.counter m "net.defines";
       n_hello_rejects = Metrics.counter m "net.hello_rejects";
     }

@@ -31,17 +31,18 @@ let net_keys =
   [
     "net.accepted"; "net.batched_frames"; "net.closed"; "net.conns"; "net.defines";
     "net.dispatched"; "net.flushes"; "net.frame_errors"; "net.frames_in"; "net.hello_rejects";
-    "net.replies"; "net.shards";
+    "net.pipelined"; "net.replies"; "net.shards";
   ]
+
+let credit_fleet k =
+  Sharded.create ~shards:k ~mode:Sharded.Free
+    ~schema:(fun ~shard:_ env -> Credit_card.define_all env)
+    ()
 
 (* Run [f client server fleet] against a fresh fleet + server, tearing
    both down afterwards (server first — it posts into the mailboxes). *)
 let with_server ?(k = shards ()) f =
-  let fleet =
-    Sharded.create ~shards:k ~mode:Sharded.Free
-      ~schema:(fun ~shard:_ env -> Credit_card.define_all env)
-      ()
-  in
+  let fleet = credit_fleet k in
   let server = Server.start ~fleet ~listen:[ fresh_addr () ] () in
   let addr = List.hd (Server.addrs server) in
   Fun.protect
@@ -559,6 +560,348 @@ let shutdown_no_loss () =
     (!committed >= float_of_int total_acked && !committed <= float_of_int total_sent);
   Alcotest.(check bool) "some traffic actually flowed" true (total_acked > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Pipelined stream requests ride behind their in-flight ones to the
+   same shard. Whatever rides must answer exactly as it would have one
+   request at a time. *)
+
+(* Run [worker i] for each [i < n] on its own thread and wait for them,
+   but at most [secs]: then [stop] runs anyway, so a lost reply ends its
+   blocked [await] with [Net_error] instead of hanging the suite. *)
+let run_workers ?(secs = 60.0) ~stop n worker =
+  let finished = Atomic.make 0 in
+  let threads =
+    List.init n (fun i ->
+        Thread.create (fun () -> Fun.protect ~finally:(fun () -> Atomic.incr finished) (fun () -> worker i)) ())
+  in
+  let deadline = Unix.gettimeofday () +. secs in
+  while Atomic.get finished < n && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let timed_out = Atomic.get finished < n in
+  stop ();
+  List.iter Thread.join threads;
+  timed_out
+
+let credit_card c ~stream ~key ~limit =
+  Client.txn_begin c ~stream ~key;
+  let customer = Client.new_obj c ~stream ~cls:"Customer" [ ("name", Value.Str "c") ] in
+  let card =
+    Client.new_obj c ~stream ~cls:"CredCard"
+      [ ("issuedTo", Value.Oid customer); ("credLim", Value.Float limit) ]
+  in
+  (card, fun () -> Client.txn_commit c ~stream)
+
+let buy card amount = P.Invoke { obj = card; meth = "Buy"; args = [ Value.Null; Value.Float amount ] }
+let pay card amount = P.Invoke { obj = card; meth = "PayBill"; args = [ Value.Float amount ] }
+
+let render_reply fleet = function
+  | P.Done (P.P_oid o) -> Printf.sprintf "oid on shard %d" (Sharded.shard_of fleet (Oid.to_int o))
+  | P.Done (P.P_stats kvs) -> "stats " ^ String.concat "," (List.map fst kvs)
+  | P.Done P.P_unit -> "unit"
+  | P.Done (P.P_pong { version }) -> Printf.sprintf "pong %d" version
+  | P.Done (P.P_value v) -> "value " ^ Value.to_string v
+  | P.Done (P.P_bool b) -> string_of_bool b
+  | P.Done (P.P_id i) -> Printf.sprintf "id %d" i
+  | P.Done (P.P_names ns) -> "names " ^ String.concat "," ns
+  | P.Fail { code; msg } -> Printf.sprintf "fail %s: %s" (P.err_code_name code) msg
+
+(* Two servers in one process, each driven by pipelining clients at the
+   same time: every reply must be the one its request asked for. Each
+   reactor needs a read buffer of its own, or one server parses bytes
+   the other read. *)
+let two_servers_one_process () =
+  let k = shards () in
+  let sides =
+    Array.init 2 (fun _ ->
+        let fleet = credit_fleet k in
+        (fleet, Server.start ~fleet ~listen:[ fresh_addr () ] ()))
+  in
+  let clients_per_side = 2 and rounds = 40 and streams = 4 in
+  let errors = Array.make (2 * clients_per_side) None in
+  let worker i =
+    let side = i mod 2 in
+    try
+      let c = Client.connect (List.hd (Server.addrs (snd sides.(side)))) in
+      let objs =
+        Array.init streams (fun s ->
+            Client.txn_begin c ~stream:1 ~key:s;
+            let o = Client.new_obj c ~stream:1 ~cls:"Customer" [ ("name", Value.Str "") ] in
+            Client.txn_commit c ~stream:1;
+            o)
+      in
+      let expect what want got =
+        if got <> want then
+          failwith (Printf.sprintf "%s: got %s" what (render_reply (fst sides.(side)) got))
+      in
+      for r = 1 to rounds do
+        let payload s =
+          Printf.sprintf "%d/%d/%d/%s" i s r (String.make 4000 (Char.chr (65 + ((i + s + r) mod 26))))
+        in
+        let syncs =
+          Array.mapi
+            (fun s obj ->
+              Array.map (Client.send c ~stream:(s + 1))
+                [|
+                  P.Txn_begin { key = Oid.to_int obj };
+                  P.Set_field { obj; field = "name"; value = Value.Str (payload s) };
+                  P.Get_field { obj; field = "name" };
+                  P.Txn_commit;
+                |])
+            objs
+        in
+        Array.iteri
+          (fun s ss ->
+            let await j = Client.await c ss.(j) in
+            expect "begin" (P.Done P.P_unit) (await 0);
+            expect "set" (P.Done P.P_unit) (await 1);
+            expect "get in txn" (P.Done (P.P_value (Value.Str (payload s)))) (await 2);
+            expect "commit" (P.Done P.P_unit) (await 3))
+          syncs;
+        let reads = Array.map (fun obj -> Client.send c (P.Get_field { obj; field = "name" })) objs in
+        Array.iteri
+          (fun s sync -> expect "stream-0 get" (P.Done (P.P_value (Value.Str (payload s)))) (Client.await c sync))
+          reads
+      done;
+      Client.close c
+    with e -> errors.(i) <- Some (Printexc.to_string e)
+  in
+  let timed_out =
+    run_workers ~stop:(fun () -> Array.iter (fun (_, server) -> ignore (Server.stop server)) sides)
+      (2 * clients_per_side) worker
+  in
+  Array.iter (fun (fleet, _) -> Sharded.shutdown fleet) sides;
+  Alcotest.(check bool) "no client timed out" false timed_out;
+  Array.iteri
+    (fun i e -> Alcotest.(check (option string)) (Printf.sprintf "client %d" i) None e)
+    errors
+
+(* Differential: the same stream scripts, sent all at once and then one
+   request at a time, on fresh identical fleets, give the same replies
+   and the same final cards. Streams touch disjoint cards and only read
+   the shared objects, so the order between streams does not matter. *)
+
+(* One stream's script: a fixed prefix with every case the ride-along
+   rule must get right, then a seeded random tail. [card] is the
+   stream's own card; [foreign] is a read-only object on the next shard
+   (the same shard when K = 1); keys 0 and 1 pin to shard 0 and, for
+   K > 1, to shard 1. *)
+let gen_script prng ~card ~foreign =
+  let own = Oid.to_int card in
+  let bal = P.Get_field { obj = card; field = "currBal" } in
+  let foreign_read = P.Get_field { obj = foreign; field = "name" } in
+  let new_obj = P.New_obj { cls = "Customer"; init = [ ("name", Value.Str "n") ] } in
+  let snap = P.Snapshot_get { obj = card; field = "currBal" } in
+  let prefix =
+    [
+      (* A DenyCredit tabort in mid-transaction, then Buy and commit. *)
+      P.Txn_begin { key = own }; buy card 10.0; buy card 1e6; buy card 5.0; bal; P.Txn_commit;
+      (* Begin while open, a cross-shard read, Snapshot_get/Ping/Stats
+         mid-transaction, then commit and abort with none open. *)
+      P.Txn_begin { key = own }; P.Txn_begin { key = own }; foreign_read; buy card 1.0; snap;
+      P.Ping; P.Stats; P.Txn_commit; P.Txn_commit; P.Txn_abort;
+      (* New_obj pinned to shard 0, pinned to shard 1, and outside. *)
+      P.Txn_begin { key = 0 }; new_obj; bal; P.Txn_commit;
+      P.Txn_begin { key = 1 }; new_obj; P.Txn_abort; new_obj;
+    ]
+  in
+  let pick () =
+    match Random.State.int prng 100 with
+    | n when n < 15 -> P.Txn_begin { key = own }
+    | n when n < 20 -> P.Txn_begin { key = Random.State.int prng 2 }
+    | n when n < 40 -> buy card (float_of_int (1 + Random.State.int prng 60))
+    | n when n < 43 -> buy card 1e6
+    | n when n < 53 -> pay card (float_of_int (1 + Random.State.int prng 40))
+    | n when n < 61 -> bal
+    | n when n < 68 -> foreign_read
+    | n when n < 73 -> new_obj
+    | n when n < 78 -> snap
+    | n when n < 81 -> P.Ping
+    | n when n < 83 -> P.Stats
+    | n when n < 93 -> P.Txn_commit
+    | n when n < 98 -> P.Txn_abort
+    | _ -> P.Invoke { obj = card; meth = "BlackMark"; args = [ Value.Str "x"; Value.Int 0 ] }
+  in
+  prefix @ List.init 40 (fun _ -> pick ()) @ [ P.Txn_commit ]
+
+(* Merge per-stream scripts into one submission order, keeping each
+   stream's own order. *)
+let interleave prng scripts =
+  let rest = Array.copy scripts in
+  let rec go acc =
+    let live = List.filter (fun i -> rest.(i) <> []) (List.init (Array.length rest) Fun.id) in
+    match live with
+    | [] -> List.rev acc
+    | _ -> (
+        let i = List.nth live (Random.State.int prng (List.length live)) in
+        match rest.(i) with
+        | req :: tl ->
+            rest.(i) <- tl;
+            go ((i + 1, req) :: acc)
+        | [] -> assert false)
+  in
+  go []
+
+let pipelined_equals_one_at_a_time () =
+  Seeds.with_seed "net.pipelined_differential" @@ fun seed ->
+  let k = shards () and n_streams = 3 in
+  let run ~pipelined script_of =
+    with_server ~k @@ fun addr _server fleet ->
+    let c = Client.connect addr in
+    let fixed =
+      Array.init k (fun s ->
+          Client.txn_begin c ~stream:1 ~key:s;
+          let o = Client.new_obj c ~stream:1 ~cls:"Customer" [ ("name", Value.Str (Printf.sprintf "fixed %d" s)) ] in
+          Client.txn_commit c ~stream:1;
+          o)
+    in
+    let cards =
+      Array.init n_streams (fun i ->
+          let card, commit = credit_card c ~stream:1 ~key:(i + 1) ~limit:300.0 in
+          ignore (Client.activate c ~stream:1 card ~trigger:"DenyCredit" ~args:[]);
+          ignore (Client.activate c ~stream:1 card ~trigger:"AutoRaiseLimit" ~args:[ Value.Float 100.0 ]);
+          commit ();
+          card)
+    in
+    let foreign card = fixed.((Sharded.shard_of fleet (Oid.to_int card) + 1) mod k) in
+    let steps = script_of cards foreign in
+    let replies =
+      if pipelined then
+        List.map (fun (stream, req) -> Client.send c ~stream req) steps |> List.map (Client.await c)
+      else List.map (fun (stream, req) -> Client.call c ~stream req) steps
+    in
+    let rendered =
+      List.map2
+        (fun (stream, _) r -> Printf.sprintf "stream %d: %s" stream (render_reply fleet r))
+        steps replies
+    in
+    let final =
+      Array.to_list cards
+      |> List.concat_map (fun card ->
+             List.map
+               (fun f -> Printf.sprintf "%s %s" f (Value.to_string (Client.get_field c card f)))
+               [ "currBal"; "credLim"; "black_marks" ])
+    in
+    let pipelined_count = List.assoc "net.pipelined" (Client.stats c) in
+    Client.close c;
+    (steps, rendered, final, pipelined_count)
+  in
+  for round = 0 to 3 do
+    let prng = Random.State.make [| seed; 0x91FE; round |] in
+    let script_of cards foreign =
+      interleave prng (Array.map (fun card -> gen_script prng ~card ~foreign:(foreign card)) cards)
+    in
+    let steps, piped, piped_final, rode = run ~pipelined:true script_of in
+    let _, single, single_final, rode_single = run ~pipelined:false (fun _ _ -> steps) in
+    Alcotest.(check (list string)) (Printf.sprintf "round %d replies" round) single piped;
+    Alcotest.(check (list string)) (Printf.sprintf "round %d final cards" round) single_final piped_final;
+    Alcotest.(check bool) (Printf.sprintf "round %d: requests rode (%d)" round rode) true (rode > 0);
+    Alcotest.(check int) (Printf.sprintf "round %d: none rode one at a time" round) 0 rode_single
+  done
+
+(* [net.pipelined] counts requests sent behind in-flight ones of their
+   stream: some for pipelined transactions, none for the same
+   transactions one call at a time. *)
+let pipelined_counter () =
+  let txns ~pipelined =
+    with_server @@ fun addr server _fleet ->
+    let c = Client.connect addr in
+    let card, commit = credit_card c ~stream:1 ~key:0 ~limit:1e9 in
+    commit ();
+    let reqs =
+      [ P.Txn_begin { key = Oid.to_int card }; buy card 2.0; pay card 1.0;
+        P.Get_field { obj = card; field = "currBal" }; P.Txn_commit ]
+    in
+    for _ = 1 to 50 do
+      let replies =
+        if pipelined then List.map (Client.send c ~stream:1) reqs |> List.map (Client.await c)
+        else List.map (Client.call c ~stream:1) reqs
+      in
+      List.iter (function P.Done _ -> () | _ -> Alcotest.fail "transaction failed") replies
+    done;
+    Alcotest.(check bool) "balance" true (Client.get_field c card "currBal" = Value.Float 50.0);
+    Client.close c;
+    List.assoc "net.pipelined" (Server.counters server)
+  in
+  let piped = txns ~pipelined:true in
+  Alcotest.(check bool) (Printf.sprintf "pipelined transactions ride (%d)" piped) true (piped > 0);
+  Alcotest.(check int) "one call at a time never rides" 0 (txns ~pipelined:false)
+
+(* Graceful shutdown while 4 streams per client pipeline whole
+   transactions: no acknowledged commit lost, nothing abandoned, and no
+   transaction left open on any shard. *)
+let shutdown_pipelined_txns () =
+  let k = shards () in
+  let fleet = credit_fleet k in
+  let server = Server.start ~fleet ~listen:[ fresh_addr () ] () in
+  let addr = List.hd (Server.addrs server) in
+  let n_clients = 3 and streams = 4 in
+  let acked = Array.make n_clients 0 and sent = Array.make n_clients 0 in
+  let cards = Array.make n_clients [||] in
+  let worker i =
+    try
+      let c = Client.connect addr in
+      cards.(i) <-
+        Array.init streams (fun s ->
+            let card, commit = credit_card c ~stream:1 ~key:((i * streams) + s) ~limit:1e9 in
+            commit ();
+            card);
+      (try
+         for _ = 1 to 5_000 do
+           let syncs =
+             Array.mapi
+               (fun s card ->
+                 Array.map (Client.send c ~stream:(s + 1))
+                   [| P.Txn_begin { key = Oid.to_int card }; buy card 1.0; pay card 1.0; P.Txn_commit |])
+               cards.(i)
+           in
+           sent.(i) <- sent.(i) + streams;
+           Array.iter
+             (fun ss ->
+               Array.iter
+                 (fun sync ->
+                   match Client.await c sync with
+                   | P.Done _ -> ()
+                   | P.Fail { code = P.E_shutdown; _ } -> raise Exit
+                   | P.Fail { msg; _ } -> failwith msg)
+                 ss;
+               acked.(i) <- acked.(i) + 1)
+             syncs
+         done
+       with Exit | Client.Net_error _ -> ());
+      Client.close c
+    with Client.Net_error _ -> ()
+  in
+  let threads = Array.init n_clients (fun i -> Thread.create worker i) in
+  Thread.delay 0.15;
+  let report = Server.stop server in
+  Array.iter Thread.join threads;
+  Alcotest.(check bool) "reactor healthy" true (report.Server.r_failure = None);
+  Alcotest.(check int) "nothing abandoned" 0 report.Server.r_abandoned;
+  Sharded.sync fleet;
+  for shard = 0 to k - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "shard %d has no open transaction" shard)
+      true
+      (Session.quiescent (Sharded.session fleet shard))
+  done;
+  (* Each committed transaction made exactly one purchase. *)
+  let committed = ref 0 in
+  Array.iter
+    (Array.iter (fun card ->
+         Sharded.with_shard fleet ~key:(Oid.to_int card) (fun env ->
+             Session.with_txn env (fun txn ->
+                 committed := !committed + Value.to_int (Session.get_field env txn card "purchases")))))
+    cards;
+  let total_acked = Array.fold_left ( + ) 0 acked in
+  let total_sent = Array.fold_left ( + ) 0 sent in
+  Sharded.shutdown fleet;
+  Alcotest.(check bool)
+    (Printf.sprintf "acked %d <= committed %d <= sent %d" total_acked !committed total_sent)
+    true
+    (total_acked <= !committed && !committed <= total_sent);
+  Alcotest.(check bool) "some traffic actually flowed" true (total_acked > 0)
+
 let suite =
   [
     Alcotest.test_case "proto round-trip property" `Quick proto_roundtrip;
@@ -570,4 +913,10 @@ let suite =
       concurrent_equivalence;
     Alcotest.test_case "slow stream does not block fast stream" `Quick slow_stream_no_hol;
     Alcotest.test_case "graceful shutdown loses no acked commit" `Quick shutdown_no_loss;
+    Alcotest.test_case "two servers in one process" `Quick two_servers_one_process;
+    Alcotest.test_case "pipelined replies equal one-at-a-time replies" `Quick
+      pipelined_equals_one_at_a_time;
+    Alcotest.test_case "net.pipelined counts ridden requests" `Quick pipelined_counter;
+    Alcotest.test_case "graceful shutdown under pipelined transactions" `Quick
+      shutdown_pipelined_txns;
   ]
