@@ -58,16 +58,16 @@ let run () =
   (* Part 1: exhaustive sweep. *)
   let sweep, sweep_ns = Bench_common.wall (fun () -> Crashlab.sweep ~config ()) in
   let table = Table.create ~columns:[ ("sweep", Table.Left); ("value", Table.Right) ] in
-  Table.add_row table [ "addressable I/O points"; Table.cell_i sweep.Crashlab.sw_points ];
-  Table.add_row table [ "crash/torn plans checked"; Table.cell_i sweep.Crashlab.sw_checked ];
-  Table.add_row table
-    [ "invariant violations"; Table.cell_i (List.length sweep.Crashlab.sw_violations) ];
+  let { Ode_storage.Sweep.baseline; plans; violations } = sweep in
+  Table.add_row table [ "addressable I/O points"; Table.cell_i (Faults.point baseline) ];
+  Table.add_row table [ "crash/torn plans checked"; Table.cell_i plans ];
+  Table.add_row table [ "invariant violations"; Table.cell_i (List.length violations) ];
   Table.add_row table [ "wall time (s)"; Printf.sprintf "%.2f" (sweep_ns /. 1e9) ];
   Table.print table;
   List.iteri
     (fun i (plan, violation) ->
       if i < 5 then Printf.printf "  VIOLATION [--fault-plan %S] %s\n" plan violation)
-    sweep.Crashlab.sw_violations;
+    violations;
 
   (* Part 2: randomized fault-plan soak. *)
   let seeds = 60 in
@@ -88,12 +88,12 @@ let run () =
   let violations = ref 0 in
   for seed = 1 to seeds do
     let prng = Prng.create ~seed:(Int64.of_int (0xA5EED + seed)) in
-    let plan = random_plan prng base.Crashlab.points in
+    let plan = random_plan prng (Faults.point base.Crashlab.faults) in
     let result = Crashlab.run ~config ~plan () in
     (match result.Crashlab.outcome with
     | Crashlab.Crashed _ -> incr crashed
     | Crashlab.Completed -> ());
-    fired := !fired + List.length result.Crashlab.fired;
+    fired := !fired + List.length (Faults.fired result.Crashlab.faults);
     let broken = Crashlab.verify ~ledger:base.Crashlab.snapshots result in
     violations := !violations + List.length broken;
     List.iteri

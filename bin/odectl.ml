@@ -331,14 +331,15 @@ let faults_cmd =
           ()
       in
       Printf.eprintf "\n%!";
-      Printf.printf "addressable I/O points : %d\n" result.Crashlab.sw_points;
-      Printf.printf "plans checked          : %d\n" result.Crashlab.sw_checked;
-      Printf.printf "invariant violations   : %d\n" (List.length result.Crashlab.sw_violations);
+      let { Ode_storage.Sweep.baseline; plans; violations } = result in
+      Printf.printf "addressable I/O points : %d\n" (Faults.point baseline);
+      Printf.printf "plans checked          : %d\n" plans;
+      Printf.printf "invariant violations   : %d\n" (List.length violations);
       List.iter
         (fun (plan, violation) ->
           Printf.printf "  [--fault-plan %S] %s\n" plan violation)
-        result.Crashlab.sw_violations;
-      if result.Crashlab.sw_violations = [] then 0 else die "violations found"
+        violations;
+      if violations = [] then 0 else die "violations found"
     end
     else begin
       match plan_text with
@@ -351,7 +352,8 @@ let faults_cmd =
               let result = Crashlab.run ~config ~plan () in
               (match result.Crashlab.outcome with
               | Crashlab.Completed ->
-                  Printf.printf "outcome   : completed (%d I/O points)\n" result.Crashlab.points
+                  Printf.printf "outcome   : completed (%d I/O points)\n"
+                    (Faults.point result.Crashlab.faults)
               | Crashlab.Crashed { point; site } ->
                   Printf.printf "outcome   : crashed at point %d (site %s)\n" point
                     (Faults.site_to_string site));
@@ -366,7 +368,7 @@ let faults_cmd =
                 (fun (point, site, act) ->
                   Printf.printf "fired     : point %d, site %s, action %s\n" point
                     (Faults.site_to_string site) (action_str act))
-                result.Crashlab.fired;
+                (Faults.fired result.Crashlab.faults);
               let violations = Crashlab.verify ~ledger:base.Crashlab.snapshots result in
               (match violations with
               | [] ->

@@ -1,4 +1,5 @@
 module Faults = Ode_storage.Faults
+module Sweep = Ode_storage.Sweep
 module Txn = Ode_storage.Txn
 module Store = Ode_storage.Store
 module Wal = Ode_storage.Wal
@@ -43,25 +44,13 @@ type outcome = Completed | Crashed of { point : int; site : Faults.site }
 
 type run = {
   outcome : outcome;
-  points : int;
-  site_counts : (Faults.site * int) list;
-  fired : (int * Faults.site * Faults.action) list;
+  faults : Faults.t;
   committed : int;
   failed : int;
   image : Session.crash_image;
   snapshots : snapshot list;
   refs : (string * Oid.t option) list;
 }
-
-let all_sites =
-  [
-    Faults.Page_read;
-    Faults.Page_write;
-    Faults.Page_alloc;
-    Faults.Pool_evict;
-    Faults.Wal_flush;
-    Faults.Lock_acquire;
-  ]
 
 let workload_classes = [ "Customer"; "Merchant"; "AuditLog"; "CredCard"; "GoldCredCard" ]
 let card_labels = [ "card"; "card2" ]
@@ -295,15 +284,10 @@ let run ?(config = default_config) ~plan () =
     | () -> Completed
     | exception Faults.Injected_crash { point; site } -> Crashed { point; site }
   in
-  let points = Faults.point faults in
-  let site_counts = List.map (fun site -> (site, Faults.site_count faults site)) all_sites in
-  let fired = Faults.fired faults in
   let image = Session.crash env in
   {
     outcome;
-    points;
-    site_counts;
-    fired;
+    faults;
     committed = !committed;
     failed = !failed;
     image;
@@ -363,12 +347,7 @@ let compare_parts what expected observed err =
       | None -> err (Printf.sprintf "%s state missing key %s after recovery" what key))
     expected
 
-(* [ledger] is the snapshot ledger to read expectations from. It
-   defaults to the run's own snapshots, but a crash can land between a
-   commit flush and the next probe, leaving the newly durable state
-   without a ledger entry; a sweep therefore passes the fault-free
-   baseline run's (complete) ledger, valid because execution is
-   deterministic up to the injected crash point. *)
+(* Why a sweep passes the baseline's [ledger]: see crashlab.mli. *)
 let verify ?ledger run =
   let ledger = match ledger with Some l -> l | None -> run.snapshots in
   let violations = ref [] in
@@ -381,7 +360,7 @@ let verify ?ledger run =
      leaving a gap in the snapshot ledger; exact-state matching is only
      sound when no Fail fired. The WAL-level and behavioural invariants
      above/below hold regardless. *)
-  let strict = not (List.exists (fun (_, _, act) -> act = Faults.Fail) run.fired) in
+  let strict = not (List.exists (fun (_, _, act) -> act = Faults.Fail) (Faults.fired run.faults)) in
   (match Session.recover run.image with
   | exception e -> err "Session.recover raised %s" (Printexc.to_string e)
   | env -> (
@@ -469,57 +448,22 @@ let verify ?ledger run =
 (* ------------------------------------------------------------------ *)
 (* Exhaustive exploration. *)
 
-type sweep_result = {
-  sw_points : int;
-  sw_checked : int;
-  sw_violations : (string * string) list;
-}
-
 let torn_fractions = [| 0.0; 0.25; 0.5; 0.9 |]
 
 let sweep ?(config = default_config) ?(stride = 1) ?(torn = true) ?on_progress () =
-  let stride = max 1 stride in
   let base = run ~config ~plan:[] () in
-  let crash_plans =
-    let rec points p acc = if p > base.points then List.rev acc else points (p + stride) (p :: acc) in
-    List.map
-      (fun p -> ([ { Faults.sel = Faults.At p; act = Faults.Crash } ], Some p))
-      (points 1 [])
+  let torn_at k = [ Faults.Torn torn_fractions.(k mod Array.length torn_fractions) ] in
+  let families =
+    Sweep.Points { stride }
+    ::
+    (if torn then
+       [
+         Sweep.Site { site = Wal_flush; every = 1; acts = torn_at };
+         Sweep.Site { site = Page_write; every = 3; acts = torn_at };
+       ]
+     else [])
   in
-  let torn_plans =
-    if not torn then []
-    else begin
-      let occurrences site every =
-        let total = try List.assoc site base.site_counts with Not_found -> 0 in
-        let rec go k acc = if k > total then List.rev acc else go (k + every) (k :: acc) in
-        go 1 []
-      in
-      let torn_plan site k =
-        let fraction = torn_fractions.(k mod Array.length torn_fractions) in
-        ([ { Faults.sel = Faults.Nth (site, k); act = Faults.Torn fraction } ], None)
-      in
-      List.map (torn_plan Faults.Wal_flush) (occurrences Faults.Wal_flush 1)
-      @ List.map (torn_plan Faults.Page_write) (occurrences Faults.Page_write 3)
-    end
-  in
-  let plans = crash_plans @ torn_plans in
-  let total = List.length plans in
-  let violations = ref [] in
-  let checked = ref 0 in
-  List.iter
-    (fun (plan, expect_point) ->
-      let text = Faults.plan_to_string plan in
+  Sweep.sweep ?on_progress ~baseline:base.faults families (fun plan ->
       let result = run ~config ~plan () in
-      (match (result.outcome, expect_point) with
-      | Crashed { point; _ }, Some p when point <> p ->
-          violations := (text, Printf.sprintf "crash fired at point %d, not %d" point p) :: !violations
-      | Completed, _ ->
-          violations := (text, "planned fault never fired (run completed)") :: !violations
-      | Crashed _, _ -> ());
-      List.iter
-        (fun v -> violations := (text, v) :: !violations)
-        (verify ~ledger:base.snapshots result);
-      incr checked;
-      match on_progress with Some f -> f ~done_:!checked ~total | None -> ())
-    plans;
-  { sw_points = base.points; sw_checked = !checked; sw_violations = List.rev !violations }
+      let completed = if result.outcome = Completed then [ "run completed" ] else [] in
+      (result.faults, completed @ verify ~ledger:base.snapshots result))

@@ -63,9 +63,9 @@ type outcome = Completed | Crashed of { point : int; site : Faults.site }
 
 type run = {
   outcome : outcome;
-  points : int;  (** total I/O points consumed (crash point included) *)
-  site_counts : (Faults.site * int) list;
-  fired : (int * Faults.site * Faults.action) list;
+  faults : Faults.t;
+      (** the run's plane: I/O points consumed (crash point included),
+          per-site counts and the fired log *)
   committed : int;  (** workload transactions that committed *)
   failed : int;  (** denied / faulted workload transactions *)
   image : Session.crash_image;  (** durable state at end of run *)
@@ -95,23 +95,17 @@ val verify : ?ledger:snapshot list -> run -> string list
     agreement, dangling-activation and behavioural-probe invariants are
     always checked. *)
 
-type sweep_result = {
-  sw_points : int;  (** I/O points in the fault-free run = sweep domain *)
-  sw_checked : int;  (** crash points actually swept *)
-  sw_violations : (string * string) list;  (** (replay plan, violation) *)
-}
-
 val sweep :
   ?config:config ->
   ?stride:int ->
   ?torn:bool ->
   ?on_progress:(done_:int -> total:int -> unit) ->
   unit ->
-  sweep_result
-(** Exhaustive crash-point exploration: run the fault-free workload to
-    learn the I/O-point space, then re-run it with [crash@p] for every
-    point [p] (every [stride]-th point if [stride > 1]), verifying all
-    invariants after each crash. With [torn] (default true), also sweep a
-    torn variant of every WAL flush and every 3rd page write, at varying
-    surviving fractions. Each violation is reported with the exact
-    [--fault-plan] string that replays it. *)
+  Ode_storage.Sweep.result
+(** Exhaustive crash-point exploration through {!Ode_storage.Sweep}: run
+    the fault-free workload to learn the I/O-point space, then re-run it
+    with [crash@p] for every point [p] (every [stride]-th point if
+    [stride > 1]), verifying all invariants after each crash. With [torn]
+    (default true), also sweep a torn variant of every WAL flush and
+    every 3rd page write, at varying surviving fractions. Each violation
+    is reported with the exact [--fault-plan] string that replays it. *)

@@ -537,6 +537,8 @@ let handle_frame t conn body =
         pump_stream t conn st
       end
 
+(* Drop every queued request of [conn], answering each "not executed"
+   (a no-op on a dead connection, whose outbox is gone). *)
 let drop_queued t conn =
   Hashtbl.iter
     (fun _ st ->
@@ -544,6 +546,8 @@ let drop_queued t conn =
       if n > 0 then begin
         t.dr_dropped_requests <- t.dr_dropped_requests + n;
         t.dr_dropped_streams <- t.dr_dropped_streams + 1;
+        let not_executed = fail_ P.E_shutdown "not executed: server shutting down" in
+        Queue.iter (fun p -> enqueue_reply conn ~sync:p.p_sync not_executed) st.st_queue;
         Queue.clear st.st_queue
       end)
     conn.c_streams;
@@ -733,8 +737,9 @@ let begin_drain t deadline_opt =
         (try Unix.close fd with _ -> ());
         match addr with Unix_sock p -> ( try Unix.unlink p with _ -> ()) | Tcp _ -> ())
       t.listeners;
-    (* Queued-but-undispatched work is dropped; queued defines answer
-       E_shutdown since their streams already count them as in flight. *)
+    (* Queued-but-undispatched work is dropped, each request answered
+       E_shutdown; so are queued defines, which their streams already
+       count as in flight. *)
     List.iter (fun c -> drop_queued t c) t.conns;
     Queue.iter
       (fun j ->

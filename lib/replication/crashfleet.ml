@@ -1,26 +1,12 @@
-(* Fleet-scale crash exploration for the replication layer.
-
-   A seeded account workload (deposits, overdrafting withdrawals vetoed
-   by a trigger, a firing log kept in object state) runs on a disk-backed
-   primary in [Quorum] durability with N attached replicas. The sweep
-   kills the primary at every WAL-flush point and every ship point of a
-   fault-free baseline, promotes the furthest-ahead replica, resumes the
-   unfinished suffix of the schedule on the new primary, and checks:
-
-   - no quorum-acked commit is lost (its effect is present post-failover);
-   - no committed trigger firing is duplicated or lost across the
-     failover (the durable firing log equals the oracle's, exactly);
-   - the final state equals a never-crashed sequential oracle;
-   - promotion truncates to a complete commit boundary (tail = 0 under
-     flush-aligned shipping).
-
-   Everything is deterministic: the same config reproduces the same
-   flush/ship point numbering and the same post-failover state. *)
+(* Fleet-scale crash exploration for the replication layer: the
+   workload, its oracle and its failover checks, swept by
+   Ode_storage.Sweep (the invariants are listed in crashfleet.mli). *)
 
 module Session = Ode.Session
 module Dsl = Ode.Dsl
 module Value = Ode_objstore.Value
 module Faults = Ode_storage.Faults
+module Sweep = Ode_storage.Sweep
 module Commit_pipeline = Ode_storage.Commit_pipeline
 module Recovery = Ode_storage.Recovery
 module Store = Ode_storage.Store
@@ -206,30 +192,14 @@ let oracle_run config =
 
 (* ---------------- crashed run ---------------- *)
 
-type plan = [ `None | `Flush of int | `Ship of int ]
-
-let plan_to_string = function
-  | `None -> "baseline"
-  | `Flush k -> Printf.sprintf "flush@%d" k
-  | `Ship k -> Printf.sprintf "ship@%d" k
-
-type run_result = {
-  r_plan : plan;
-  r_downed : bool;
-  r_promoted : int option;  (** replica promoted, when downed *)
-  r_flush_points : int;  (** workload flush points (baseline's sweep space) *)
-  r_ship_points : int;  (** workload ship points (baseline's sweep space) *)
-  r_violations : string list;
-}
-
 let check violations cond fmt =
   Printf.ksprintf (fun msg -> if not cond then violations := msg :: !violations) fmt
 
-let compare_states violations ~label ~got ~want =
+let compare_states violations ~got ~want =
   Array.iteri
     (fun i want_s ->
       let got_s = got.(i) in
-      check violations (got_s = want_s) "%s: card %d is %s, oracle %s" label i
+      check violations (got_s = want_s) "card %d is %s, oracle %s" i
         (card_state_to_string got_s)
         (card_state_to_string want_s))
     want
@@ -242,12 +212,7 @@ let check_replica_state violations mgr i =
       let replay = Replication.replica_replay mgr i stream in
       let want = Recovery.committed_state (Replication.Replay.records replay) in
       let got = Replication.Replay.state replay in
-      check violations
-        (List.length got = List.length want
-        && List.for_all2
-             (fun (r1, b1) (r2, b2) ->
-               Ode_storage.Rid.equal r1 r2 && Bytes.equal b1 b2)
-             got want)
+      check violations (got = want)
         "replica %d %s warm state diverges from its log's committed state" i
         (Replication.stream_to_string stream))
     [ `Objects; `Triggers ]
@@ -271,16 +236,9 @@ let run ~oracle ~config plan =
   let oids = setup env config in
   Session.sync env;
   let mgr = Replication.attach ~replicas:config.replicas env in
-  (* From here on, flush/ship points index the workload only: the fault
-     counters reset, and ship points are measured against [ship0] (the
-     initial setup-prefix ship), matching [arm_ship_crash]'s
-     counted-from-now origin. *)
+  (* From here on, flush and ship points index the workload only. *)
   Faults.reset faults;
-  let ship0 = Replication.ship_points mgr in
-  (match plan with
-  | `None -> ()
-  | `Flush k -> Faults.arm faults [ { Faults.sel = Nth (Wal_flush, k); act = Crash } ]
-  | `Ship k -> Replication.arm_ship_crash mgr k);
+  Faults.arm faults plan;
   let entries = schedule config in
   let ledger = ref [] in
   let downed = ref false in
@@ -292,31 +250,29 @@ let run ~oracle ~config plan =
          | None -> ())
        entries;
      Session.sync env
-   with Faults.Injected_crash _ | Replication.Primary_down _ -> downed := true);
+   with Faults.Injected_crash _ -> downed := true);
   let acked =
     List.filter (fun (_, txn) -> Txn.durably_acked txn) !ledger
     |> List.map fst |> List.sort compare
   in
   if not !downed then begin
-    check violations (plan = `None) "%s: armed crash point never fired"
-      (plan_to_string plan);
+    check violations (plan = []) "the planned crash never downed the primary";
     (* Completed fault-free: every commit quorum-acked, state and fleet
        agree with the oracle. *)
     let committed = List.map fst !ledger |> List.sort compare in
     check violations
       (List.length acked = List.length committed)
-      "baseline: %d commits but only %d quorum-acked after sync"
+      "%d commits but only %d quorum-acked after sync"
       (List.length committed) (List.length acked);
     Array.iteri
       (fun j e ->
         check violations
           (List.mem j committed = oracle.o_committed.(j))
-          "baseline: entry %d (%s) committed=%b, oracle %b" j (entry_to_string e)
+          "entry %d (%s) committed=%b, oracle %b" j (entry_to_string e)
           (List.mem j committed)
           oracle.o_committed.(j))
       entries;
-    compare_states violations ~label:"baseline" ~got:(read_cards env oids)
-      ~want:oracle.o_state;
+    compare_states violations ~got:(read_cards env oids) ~want:oracle.o_state;
     for i = 0 to config.replicas - 1 do
       check_replica_state violations mgr i;
       let obj_off, trig_off = Replication.replica_offsets mgr i in
@@ -324,17 +280,8 @@ let run ~oracle ~config plan =
       check violations
         (obj_off = Wal.durable_size obj_store.Store.wal
         && trig_off = Wal.durable_size trig_store.Store.wal)
-        "baseline: replica %d offsets (%d,%d) behind primary durable" i obj_off
-        trig_off
-    done;
-    {
-      r_plan = plan;
-      r_downed = false;
-      r_promoted = None;
-      r_flush_points = Faults.site_count faults Wal_flush;
-      r_ship_points = Replication.ship_points mgr - ship0;
-      r_violations = List.rev !violations;
-    }
+        "replica %d offsets (%d,%d) behind primary durable" i obj_off trig_off
+    done
   end
   else begin
     (* The primary died mid-workload. Promote the furthest-ahead replica,
@@ -354,11 +301,11 @@ let run ~oracle ~config plan =
     check violations
       (Session.settings env2
       = { old with storage = { old.storage with durability = Commit_pipeline.Immediate } })
-      "%s: promoted primary's settings differ from the old primary's" (plan_to_string plan);
+      "promoted primary's settings differ from the old primary's";
     check violations
       (report.Session.rr_obj_tail = 0 && report.Session.rr_trig_tail = 0)
-      "%s: promotion truncated a non-empty tail (obj %d, trig %d)"
-      (plan_to_string plan) report.Session.rr_obj_tail report.Session.rr_trig_tail;
+      "promotion truncated a non-empty tail (obj %d, trig %d)"
+      report.Session.rr_obj_tail report.Session.rr_trig_tail;
     let oids2 = card_oids env2 config in
     (* No quorum-acked commit lost: the acked entry's committed-op must
        have survived into the promoted state. *)
@@ -368,8 +315,7 @@ let run ~oracle ~config plan =
         let cur = ops_count env2 oids2 c in
         check violations
           (cur >= oracle.o_pre.(j) + 1)
-          "%s: quorum-acked entry %d (%s) lost at failover (card %d ops %d, needs > %d)"
-          (plan_to_string plan) j
+          "quorum-acked entry %d (%s) lost at failover (card %d ops %d, needs > %d)" j
           (entry_to_string entries.(j))
           c cur oracle.o_pre.(j))
       acked;
@@ -383,53 +329,22 @@ let run ~oracle ~config plan =
           ignore (exec_entry env2 oids2 e))
       entries;
     Session.sync env2;
-    compare_states violations
-      ~label:(plan_to_string plan)
-      ~got:(read_cards env2 oids2) ~want:oracle.o_state;
-    {
-      r_plan = plan;
-      r_downed = true;
-      r_promoted = Some best;
-      r_flush_points = 0;
-      r_ship_points = 0;
-      r_violations = List.rev !violations;
-    }
-  end
+    compare_states violations ~got:(read_cards env2 oids2) ~want:oracle.o_state
+  end;
+  (faults, List.rev !violations)
 
 (* ---------------- the sweep ---------------- *)
 
-type sweep_result = {
-  sw_flush_points : int;
-  sw_ship_points : int;
-  sw_runs : int;
-  sw_downed : int;
-  sw_violations : (string * string) list;  (** (plan, violation) *)
-}
-
 let sweep ?(config = default_config) () =
   let oracle = oracle_run config in
-  let base = run ~oracle ~config `None in
-  let violations =
-    ref (List.map (fun v -> (plan_to_string `None, v)) base.r_violations)
+  let baseline, violations = run ~oracle ~config [] in
+  let crash _ = [ Faults.Crash ] in
+  let result =
+    Sweep.sweep ~baseline
+      [
+        Site { site = Wal_flush; every = 1; acts = crash };
+        Site { site = Ship; every = 1; acts = crash };
+      ]
+      (run ~oracle ~config)
   in
-  let runs = ref 1 and downed = ref 0 in
-  let one plan =
-    let r = run ~oracle ~config plan in
-    incr runs;
-    if r.r_downed then incr downed;
-    violations :=
-      !violations @ List.map (fun v -> (plan_to_string plan, v)) r.r_violations
-  in
-  for k = 1 to base.r_flush_points do
-    one (`Flush k)
-  done;
-  for k = 1 to base.r_ship_points do
-    one (`Ship k)
-  done;
-  {
-    sw_flush_points = base.r_flush_points;
-    sw_ship_points = base.r_ship_points;
-    sw_runs = !runs;
-    sw_downed = !downed;
-    sw_violations = !violations;
-  }
+  { result with violations = List.map (fun v -> ("baseline", v)) violations @ result.violations }

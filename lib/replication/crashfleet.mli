@@ -4,7 +4,9 @@
     by a perpetual trigger; a firing log materialised in object state)
     runs on a disk-backed primary in [Quorum] durability with attached
     replicas. {!sweep} kills the primary at {e every} WAL-flush point and
-    {e every} ship point of a fault-free baseline, promotes the
+    {e every} ship point of a fault-free baseline (through
+    {!Ode_storage.Sweep}, with [crash@wal_flush:K] and [crash@ship:K]
+    plans on the primary's fault plane), promotes the
     furthest-ahead replica, resumes the unfinished schedule suffix on the
     new primary using the per-card committed-op cursor, and checks:
 
@@ -42,58 +44,32 @@ val default_config : config
 (** seed 0x0DE, 24 entries over 3 cards, 2 replicas with quorum 2,
     batches of 4 with a 12-tick deadline, 256-byte pages. *)
 
-type entry = Dep of int * int | Wd of int * int  (** card, amount *)
-
-val card_of : entry -> int
-val entry_to_string : entry -> string
-
-val schedule : config -> entry array
-(** The seeded workload; about a fifth of the entries overdraft and
-    abort through the trigger veto. *)
-
 val define_schema : Ode.Session.t -> unit
 (** The [Acct] class: methods [Dep]/[Wd]/[Mark]; perpetual triggers
     [Overdraft] ([after Wd & Neg], marks then [tabort]s) and [DepWatch]
     ([after Dep], marks). [marks] is the durable firing log; [ops] the
     per-card committed-operation cursor the resume rule reads. *)
 
-type oracle = {
-  o_committed : bool array;
-  o_pre : int array;  (** committed ops on entry j's card before j *)
-  o_state : card_state array;
-}
-
-and card_state = { cs_bal : int; cs_ops : int; cs_deps : int; cs_marks : int }
+type oracle
 
 val oracle_run : config -> oracle
 (** The never-crashed sequential reference ([`Mem], [Immediate], no
-    replication). *)
+    replication) of the seeded schedule: about a fifth of its entries
+    overdraft and abort through the trigger veto. *)
 
-type plan = [ `None | `Flush of int | `Ship of int ]
-(** Kill nobody / at the k-th workload WAL-flush point / at the k-th
-    workload ship point. *)
+val run :
+  oracle:oracle ->
+  config:config ->
+  Ode_storage.Faults.plan ->
+  Ode_storage.Faults.t * string list
+(** One deterministic run with [plan] armed on the primary's plane once
+    setup is done, so its points index the workload only. Returns the
+    plane and the violations. When the plan downs the primary, the run
+    promotes, resumes and verifies as described above; a non-empty plan
+    that never downs the primary is a violation. The plane's
+    [Wal_flush] and [Ship] counts after [run ~oracle ~config []] are the
+    sweep's domain. *)
 
-val plan_to_string : plan -> string
-
-type run_result = {
-  r_plan : plan;
-  r_downed : bool;
-  r_promoted : int option;
-  r_flush_points : int;  (** meaningful on the baseline: sweep space *)
-  r_ship_points : int;
-  r_violations : string list;  (** empty on a correct run *)
-}
-
-val run : oracle:oracle -> config:config -> plan -> run_result
-(** One deterministic run under [plan]; on a kill, promotes, resumes and
-    verifies as described above. *)
-
-type sweep_result = {
-  sw_flush_points : int;
-  sw_ship_points : int;
-  sw_runs : int;  (** baseline + one run per point *)
-  sw_downed : int;
-  sw_violations : (string * string) list;  (** (plan, violation) *)
-}
-
-val sweep : ?config:config -> unit -> sweep_result
+val sweep : ?config:config -> unit -> Ode_storage.Sweep.result
+(** The baseline, then one run per WAL-flush and ship point of it. The
+    baseline's own violations are tagged ["baseline"]. *)

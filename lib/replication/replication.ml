@@ -16,11 +16,10 @@ module Rid = Ode_storage.Rid
 module Recovery = Ode_storage.Recovery
 module Commit_pipeline = Ode_storage.Commit_pipeline
 module Store = Ode_storage.Store
+module Faults = Ode_storage.Faults
 module Binc = Ode_util.Binc
 module Metrics = Ode_util.Metrics
 module Session = Ode.Session
-
-exception Primary_down of { ship_point : int }
 
 type stream = [ `Objects | `Triggers ]
 
@@ -40,7 +39,6 @@ module Replay = struct
     state : (int, Rid.t * bytes) Hashtbl.t;  (* committed record map *)
     pending_ops : (int, Wal.op list) Hashtbl.t;  (* in-flight, newest first *)
     applied_ops : (int, Wal.op list) Hashtbl.t;  (* committed, newest first *)
-    mutable batches : int;
     mutable redundant : int;
   }
 
@@ -52,12 +50,10 @@ module Replay = struct
       state = Hashtbl.create 256;
       pending_ops = Hashtbl.create 16;
       applied_ops = Hashtbl.create 64;
-      batches = 0;
       redundant = 0;
     }
 
   let size t = Buffer.length t.log
-  let batches t = t.batches
   let redundant t = t.redundant
   let log_bytes t = Buffer.to_bytes t.log
   let records t = List.rev t.records_rev
@@ -133,7 +129,6 @@ module Replay = struct
     else begin
       let fresh = Bytes.sub chunk (len - base) (clen - (len - base)) in
       Buffer.add_bytes t.log fresh;
-      t.batches <- t.batches + 1;
       (* Decode spill + fresh incrementally; keep any trailing partial
          record as the next spill. Flush-aligned shipping never produces
          spill, but the link contract allows arbitrary re-chunking. *)
@@ -171,8 +166,7 @@ module Link = struct
     deliver : chunk -> unit;
   }
 
-  let create ?(up = true) deliver = { up; queued = []; deliver }
-  let is_up l = l.up
+  let create deliver = { up = true; queued = []; deliver }
 
   let send l chunk =
     if l.up then l.deliver chunk else l.queued <- chunk :: l.queued
@@ -207,9 +201,8 @@ type t = {
   ship_batches : Metrics.counter;
   ship_bytes : Metrics.counter;
   mutable ship_points : int;
-  mutable crash_at_ship : int option;
   mutable failover_count : int;
-  mutable dead : bool;
+  mutable retired : bool;  (* promoted away: never ships again *)
 }
 
 let quorum_of_mode = function
@@ -238,37 +231,41 @@ let ship_stream t r stream wal sent set_sent =
   let durable = Wal.durable_size wal in
   if durable > sent then begin
     t.ship_points <- t.ship_points + 1;
-    (match t.crash_at_ship with
-    | Some k when t.ship_points >= k ->
-        t.dead <- true;
-        raise (Primary_down { ship_point = t.ship_points })
-    | _ -> ());
-    (* Global-offset range read: the retirement pins below guarantee the
-       unshipped suffix is never retired out from under the shipper. *)
-    let chunk =
-      {
-        ck_stream = stream;
-        ck_base = sent;
-        ck_bytes = Wal.read_range wal ~pos:sent ~len:(durable - sent);
-      }
-    in
-    set_sent durable;
-    Metrics.incr t.ship_batches;
-    Metrics.add t.ship_bytes (Bytes.length chunk.ck_bytes);
-    Link.send r.rp_link chunk
+    (* A ship point is a fault point of the primary's plane. A crash
+       there kills the primary before this send; a torn send crashes the
+       same way (no partial chunk leaves). *)
+    let faults = Session.faults t.primary in
+    match Faults.check faults Ship with
+    | `Torn _ -> Faults.torn_crash faults Ship
+    | `Proceed ->
+        (* Global-offset range read: the retirement pins below guarantee
+           the unshipped suffix is never retired out from under the
+           shipper. *)
+        let chunk =
+          {
+            ck_stream = stream;
+            ck_base = sent;
+            ck_bytes = Wal.read_range wal ~pos:sent ~len:(durable - sent);
+          }
+        in
+        set_sent durable;
+        Metrics.incr t.ship_batches;
+        Metrics.add t.ship_bytes (Bytes.length chunk.ck_bytes);
+        Link.send r.rp_link chunk
   end
 
 let on_flush t () =
-  if t.dead then raise (Primary_down { ship_point = t.ship_points });
-  let obj_store, trig_store = Session.stores t.primary in
-  Array.iter
-    (fun r ->
-      ship_stream t r `Objects obj_store.Store.wal r.rp_sent_obj (fun v ->
-          r.rp_sent_obj <- v);
-      ship_stream t r `Triggers trig_store.Store.wal r.rp_sent_trig (fun v ->
-          r.rp_sent_trig <- v))
-    t.replicas;
-  publish_progress t
+  if not t.retired then begin
+    let obj_store, trig_store = Session.stores t.primary in
+    Array.iter
+      (fun r ->
+        ship_stream t r `Objects obj_store.Store.wal r.rp_sent_obj (fun v ->
+            r.rp_sent_obj <- v);
+        ship_stream t r `Triggers trig_store.Store.wal r.rp_sent_trig (fun v ->
+            r.rp_sent_trig <- v))
+      t.replicas;
+    publish_progress t
+  end
 
 (* Everything but the ship counters is state read at snapshot time. *)
 let register_gauges t =
@@ -329,9 +326,8 @@ let attach ?(replicas = 2) ?(failover_count = 0) primary =
       ship_batches = Metrics.counter m "ship_batches";
       ship_bytes = Metrics.counter m "ship_bytes";
       ship_points = 0;
-      crash_at_ship = None;
       failover_count;
-      dead = false;
+      retired = false;
     }
   in
   register_gauges t;
@@ -355,22 +351,6 @@ let attach ?(replicas = 2) ?(failover_count = 0) primary =
   on_flush t ();
   t
 
-let detach t =
-  let obj_store, trig_store = Session.stores t.primary in
-  Commit_pipeline.detach_shipper obj_store.Store.pipeline;
-  Commit_pipeline.detach_shipper trig_store.Store.pipeline;
-  Wal.remove_pin obj_store.Store.wal ~name:"replication";
-  Wal.remove_pin trig_store.Store.wal ~name:"replication"
-
-let primary t = t.primary
-let n_replicas t = Array.length t.replicas
-let quorum_n t = t.quorum_n
-let ship_points t = t.ship_points
-
-let arm_ship_crash t k =
-  if k < 1 then invalid_arg "Replication.arm_ship_crash: k >= 1";
-  t.crash_at_ship <- Some (t.ship_points + k)
-
 let replica_replay t i stream = replay_of t.replicas.(i) stream
 
 let replica_offsets t i =
@@ -382,8 +362,6 @@ let pause t i = Link.pause t.replicas.(i).rp_link
 let resume t i =
   Link.resume t.replicas.(i).rp_link;
   publish_progress t
-
-let link_up t i = Link.is_up t.replicas.(i).rp_link
 
 let furthest_ahead t =
   let weight r = Replay.size r.rp_obj + Replay.size r.rp_trig in
@@ -402,7 +380,7 @@ type promotion = {
 let promote ?durability ~schema t replica =
   if replica < 0 || replica >= Array.length t.replicas then
     invalid_arg "Replication.promote: no such replica";
-  t.dead <- true;
+  t.retired <- true;
   (* the old primary must never ship again *)
   let r = t.replicas.(replica) in
   let image =

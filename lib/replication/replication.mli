@@ -29,11 +29,6 @@ module Rid := Ode_storage.Rid
 module Commit_pipeline := Ode_storage.Commit_pipeline
 module Session := Ode.Session
 
-exception Primary_down of { ship_point : int }
-(** Raised at an armed ship point ({!arm_ship_crash}) and by any ship
-    attempt after the manager has been declared dead — the in-process
-    stand-in for the primary's host dying mid-send. *)
-
 type stream = [ `Objects | `Triggers ]
 
 val stream_to_string : stream -> string
@@ -61,14 +56,8 @@ module Replay : sig
   val size : t -> int
   (** Persisted bytes — the replica's durable offset for this stream. *)
 
-  val batches : t -> int
-  (** Chunks that contributed fresh bytes. *)
-
   val redundant : t -> int
   (** Chunks skipped as already-persisted duplicates. *)
-
-  val log_bytes : t -> bytes
-  (** The persisted log copy (what failover recovers from). *)
 
   val records : t -> Wal.record list
   (** All decoded records, oldest first. *)
@@ -76,19 +65,6 @@ module Replay : sig
   val state : t -> (Rid.t * bytes) list
   (** The warm standby record map, sorted by rid — must always equal
       [Recovery.committed_state] of the decoded log. *)
-end
-
-(** One in-process primary->replica connection with link-failure
-    simulation: while paused, chunks queue in order and deliver on
-    resume. *)
-module Link : sig
-  type t
-
-  val create : ?up:bool -> (chunk -> unit) -> t
-  val is_up : t -> bool
-  val send : t -> chunk -> unit
-  val pause : t -> unit
-  val resume : t -> unit
 end
 
 type t
@@ -101,28 +77,14 @@ val attach : ?replicas:int -> ?failover_count:int -> Session.t -> t
 (** Install shipping on [primary]'s two commit pipelines and create
     [replicas] (default 2) empty replicas. Ships the already-durable WAL
     prefix immediately, so a freshly recovered primary's checkpoint
-    reaches the fleet before the first commit. If the primary's
+    reaches the fleet before the first commit. Every send to one replica
+    of one stream is a [Ship] point of the primary's own fault plane
+    ({!Session.faults}): a plan can crash the primary there, exactly as
+    at a WAL flush. If the primary's
     durability mode is [Quorum {n; _}], quorum feedback is armed with
     that [n]; other modes ship without gating acks.
     [failover_count] seeds the counter when re-attaching after a
     promotion. *)
-
-val detach : t -> unit
-(** Remove the shipping hooks. Parked quorum acks (if any) stay parked:
-    with the fleet gone they are simply not durable on [n] sites. *)
-
-val primary : t -> Session.t
-val n_replicas : t -> int
-val quorum_n : t -> int
-
-val ship_points : t -> int
-(** Ship events so far (one per non-empty per-replica per-stream send
-    attempt) — the crash sweep's point space. *)
-
-val arm_ship_crash : t -> int -> unit
-(** Die at the [k]-th ship point counted from now: the send does not
-    happen, the manager is dead to the fleet, and {!Primary_down}
-    propagates out of the flushing commit. *)
 
 val replica_replay : t -> int -> stream -> Replay.t
 val replica_offsets : t -> int -> int * int
@@ -136,8 +98,6 @@ val resume : t -> int -> unit
 (** Deliver replica [i]'s backlog in order and republish quorum
     progress — parked acks whose prefix became [n]-durable release now,
     still in commit order. *)
-
-val link_up : t -> int -> bool
 
 val furthest_ahead : t -> int
 (** The replica with the most persisted bytes (objects + triggers),
@@ -160,7 +120,9 @@ val promote :
   promotion
 (** Promote replica [i]: recover a session from its persisted log copies
     (truncating to the last complete commit boundary), run [schema] on it
-    (§5.1.3), and mark the old primary dead. The new primary inherits the
+    (§5.1.3), and retire the old manager: a later flush on the old
+    primary ships nothing and publishes no quorum progress, so its
+    [Quorum] acks stay parked. The new primary inherits the
     old primary's {!Session.settings} — store kind, pages, pool, capacity
     knobs and engine — so it is the primary it replaces; [durability],
     when given, overrides its mode (the replicas that made a quorum are

@@ -5,6 +5,7 @@ type site =
   | Pool_evict
   | Wal_flush
   | Lock_acquire
+  | Ship
 
 type action = Fail | Crash | Torn of float
 
@@ -22,7 +23,7 @@ exception Injected_fault of { point : int; site : site }
 
 exception Injected_crash of { point : int; site : site }
 
-let all_sites = [ Page_read; Page_write; Page_alloc; Pool_evict; Wal_flush; Lock_acquire ]
+let all_sites = [ Page_read; Page_write; Page_alloc; Pool_evict; Wal_flush; Lock_acquire; Ship ]
 
 let site_index = function
   | Page_read -> 0
@@ -31,6 +32,7 @@ let site_index = function
   | Pool_evict -> 3
   | Wal_flush -> 4
   | Lock_acquire -> 5
+  | Ship -> 6
 
 type t = {
   mutable rules : rule list;
@@ -41,25 +43,22 @@ type t = {
 }
 
 let create ?(plan = []) () =
-  { rules = plan; point = 0; counts = Array.make 6 0; fired_rev = []; crashed = false }
+  let counts = Array.make (List.length all_sites) 0 in
+  { rules = plan; point = 0; counts; fired_rev = []; crashed = false }
 
 let arm t plan = t.rules <- plan
 
 let reset t =
   t.point <- 0;
-  Array.fill t.counts 0 6 0;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
   t.fired_rev <- [];
   t.crashed <- false
-
-let plan t = t.rules
 
 let point t = t.point
 
 let site_count t site = t.counts.(site_index site)
 
 let fired t = List.rev t.fired_rev
-
-let is_crashed t = t.crashed
 
 (* SplitMix64 finalizer: a pure, well-mixed hash of (salt, point) giving a
    deterministic uniform draw for [Chance] rules without any mutable PRNG
@@ -113,11 +112,10 @@ let site_to_string = function
   | Pool_evict -> "pool_evict"
   | Wal_flush -> "wal_flush"
   | Lock_acquire -> "lock_acquire"
+  | Ship -> "ship"
 
 let site_of_string s =
   List.find_opt (fun site -> String.equal (site_to_string site) s) all_sites
-
-let pp_site fmt site = Format.pp_print_string fmt (site_to_string site)
 
 let action_to_string = function
   | Fail -> "fail"
@@ -138,8 +136,6 @@ let selector_to_string = function
 let rule_to_string r = Printf.sprintf "%s@%s" (action_to_string r.act) (selector_to_string r.sel)
 
 let plan_to_string plan = String.concat ";" (List.map rule_to_string plan)
-
-let pp_rule fmt r = Format.pp_print_string fmt (rule_to_string r)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 

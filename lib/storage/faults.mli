@@ -1,18 +1,20 @@
-(** Deterministic fault-injection plane for the storage layer.
+(** Deterministic fault-injection plane.
 
     Every observable I/O action in the storage stack — physical page
     reads/writes/allocations ({!Pager}), buffer-pool evictions
     ({!Buffer_pool}), WAL flushes ({!Wal}) and record-lock acquisitions
     ({!Disk_store}) — reports to a shared plane before performing the
-    action. The plane numbers these reports with a single monotone
-    {e I/O-point} counter (and a per-site counter), so every failure site
-    in a deterministic run is addressable by an integer and replayable.
+    action, and so does every send of a replication primary to one of
+    its replicas ([Ode_replication.Replication]). The plane numbers these
+    reports with a single monotone {e I/O-point} counter (and a per-site
+    counter), so every failure site in a deterministic run is
+    addressable by an integer and replayable.
 
     A {e fault plan} is pure data: a list of rules, each pairing a
     selector (which I/O points) with an action (what goes wrong there).
     Plans round-trip through a compact string syntax
     ({!plan_of_string} / {!plan_to_string}) so a failing crash point found
-    by a sweep can be replayed from the command line
+    by a sweep ({!Sweep}) can be replayed from the command line
     ([odectl faults --fault-plan "crash@137"]).
 
     Actions:
@@ -26,7 +28,9 @@
       the "disk". Recover via the WAL as after a real crash.
     - [Torn f] — the I/O is torn: only the first fraction [f] of the
       bytes reaches the medium (a partial page write, or a WAL flush
-      truncated mid-record), then the plane crashes as for [Crash].
+      truncated mid-record), then the plane crashes as for [Crash]. At
+      a [Ship] site a torn send acts as [Crash]: no partial chunk
+      leaves the primary.
 
     The plane is inert by default: a store created without a plan still
     counts I/O points (that is how a sweep learns the address space) but
@@ -39,6 +43,7 @@ type site =
   | Pool_evict
   | Wal_flush
   | Lock_acquire
+  | Ship  (** one replication send: per replica and per stream, before the send *)
 
 type action =
   | Fail
@@ -79,8 +84,6 @@ val reset : t -> unit
 (** Zero all counters, clear the fired log and un-crash the plane. The
     plan is kept. *)
 
-val plan : t -> plan
-
 val point : t -> int
 (** Global I/O points consumed so far. *)
 
@@ -89,9 +92,7 @@ val site_count : t -> site -> int
 val fired : t -> (int * site * action) list
 (** Faults actually injected, oldest first: (global point, site, action). *)
 
-val is_crashed : t -> bool
-
-(* ---- call sites (storage layer only) ---- *)
+(* ---- call sites (the storage layer and the replication shipper) ---- *)
 
 val check : t -> site -> [ `Proceed | `Torn of float ]
 (** Report one I/O point at [site]. Raises {!Injected_fault} or
@@ -113,14 +114,13 @@ val plan_of_string : string -> (plan, string) result
       [SITE:N] (Nth occurrence), [SITE%P] or [SITE%P+K] (every Pth,
       phase K), [SITE~R] or [SITE~R#SALT] (chance R, deterministic salt)
     - sites: [page_read], [page_write], [page_alloc], [pool_evict],
-      [wal_flush], [lock_acquire], or [*] (chance selectors only).
+      [wal_flush], [lock_acquire], [ship], or [*] (chance selectors
+      only).
 
     Examples: ["crash@137"], ["torn(0.3)@wal_flush:2"],
-    ["fail@lock_acquire%7+3"], ["crash@*~0.001#42"]. *)
+    ["fail@lock_acquire%7+3"], ["crash@ship:3"], ["crash@*~0.001#42"]. *)
 
 val plan_to_string : plan -> string
 (** Inverse of {!plan_of_string} (up to float formatting). *)
 
 val site_to_string : site -> string
-val pp_site : Format.formatter -> site -> unit
-val pp_rule : Format.formatter -> rule -> unit

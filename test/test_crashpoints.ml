@@ -14,6 +14,7 @@
 module Crashlab = Ode.Crashlab
 module Session = Ode.Session
 module Faults = Ode_storage.Faults
+module Sweep = Ode_storage.Sweep
 
 (* A smaller workload than Crashlab's default keeps the quadratic sweep
    (every crash point re-runs the workload) fast while still covering far
@@ -25,21 +26,29 @@ let plan_of_string text =
   | Ok plan -> plan
   | Error msg -> Alcotest.failf "bad plan %S: %s" text msg
 
+let no_violations = function
+  | [] -> ()
+  | (plan, violation) :: rest ->
+      Alcotest.failf "%d invariant violation(s); first: [--fault-plan %S] %s"
+        (List.length rest + 1) plan violation
+
 let fault_free_run () =
   Seeds.with_seed "crashpoints.fault-free" (fun seed ->
       let run = Crashlab.run ~config:(config seed) ~plan:[] () in
       Alcotest.(check bool) "completed" true (run.Crashlab.outcome = Crashlab.Completed);
+      let points = Faults.point run.Crashlab.faults in
       Alcotest.(check bool)
-        (Printf.sprintf "workload exposes >= 100 I/O points (got %d)" run.Crashlab.points)
-        true
-        (run.Crashlab.points >= 100);
+        (Printf.sprintf "workload exposes >= 100 I/O points (got %d)" points)
+        true (points >= 100);
       Alcotest.(check bool) "most transactions commit" true (run.Crashlab.committed >= 8);
       Alcotest.(check bool) "denied purchases happened" true (run.Crashlab.failed >= 1);
-      (* Every site is represented, so the sweep exercises them all. *)
+      (* Every storage site is represented, so the sweep exercises them
+         all. *)
       List.iter
-        (fun (site, count) ->
-          if count = 0 then Alcotest.failf "site %s never reported" (Faults.site_to_string site))
-        run.Crashlab.site_counts;
+        (fun site ->
+          if Faults.site_count run.Crashlab.faults site = 0 then
+            Alcotest.failf "site %s never reported" (Faults.site_to_string site))
+        [ Page_read; Page_write; Page_alloc; Pool_evict; Wal_flush; Lock_acquire ];
       (* The fault-free image passes every invariant too. *)
       Alcotest.(check (list string)) "clean run verifies" [] (Crashlab.verify run))
 
@@ -56,7 +65,8 @@ let deterministic_replay () =
             (Faults.site_to_string sb);
           Alcotest.(check int) "crash at the addressed point" 137 pa
       | _ -> Alcotest.fail "crash@137 did not crash both runs");
-      Alcotest.(check bool) "identical fired log" true (a.Crashlab.fired = b.Crashlab.fired);
+      Alcotest.(check bool) "identical fired log" true
+        (Faults.fired a.Crashlab.faults = Faults.fired b.Crashlab.faults);
       let ao, at = Session.image_wals a.Crashlab.image in
       let bo, bt = Session.image_wals b.Crashlab.image in
       Alcotest.(check bool) "identical durable objects WAL" true (Bytes.equal ao bo);
@@ -66,21 +76,23 @@ let deterministic_replay () =
       Alcotest.(check string) "plan round-trips" (Faults.plan_to_string plan)
         (Faults.plan_to_string again))
 
-let exhaustive_sweep () =
-  Seeds.with_seed "crashpoints.sweep" (fun seed ->
-      let sweep = Crashlab.sweep ~config:(config seed) () in
+(* [pin] fixes the sweep's domain: the I/O points of the fault-free run
+   and the plans built from them (a crash at each point, a torn variant
+   of each WAL flush and of every 3rd page write). *)
+let check_sweep ?pin config =
+  let sweep = Crashlab.sweep ~config () in
+  let points = Faults.point sweep.Sweep.baseline in
+  (match pin with
+  | Some pin -> Alcotest.(check (pair int int)) "points, plans" pin (points, sweep.Sweep.plans)
+  | None ->
       Alcotest.(check bool)
-        (Printf.sprintf "sweep domain >= 100 crash points (got %d)" sweep.Crashlab.sw_points)
-        true
-        (sweep.Crashlab.sw_points >= 100);
-      Alcotest.(check bool) "sweep covered the whole domain" true
-        (sweep.Crashlab.sw_checked >= sweep.Crashlab.sw_points);
-      match sweep.Crashlab.sw_violations with
-      | [] -> ()
-      | (plan, violation) :: rest ->
-          Alcotest.failf
-            "%d invariant violation(s); first: [--fault-plan %S] %s" (List.length rest + 1)
-            plan violation)
+        (Printf.sprintf "sweep domain >= 100 crash points (got %d)" points)
+        true (points >= 100);
+      Alcotest.(check bool) "sweep covered the whole domain" true (sweep.Sweep.plans >= points));
+  no_violations sweep.Sweep.violations
+
+let exhaustive_sweep () = Seeds.with_seed "crashpoints.sweep" (fun s -> check_sweep (config s))
+let sweep_domain_pinned () = check_sweep ~pin:(325, 346) { Crashlab.default_config with txns = 12 }
 
 let transient_faults_survivable () =
   Seeds.with_seed "crashpoints.transient" (fun seed ->
@@ -92,7 +104,7 @@ let transient_faults_survivable () =
       let run = Crashlab.run ~config ~plan () in
       Alcotest.(check bool) "run completes despite transient faults" true
         (run.Crashlab.outcome = Crashlab.Completed);
-      Alcotest.(check bool) "both faults fired" true (List.length run.Crashlab.fired = 2);
+      Alcotest.(check int) "both faults fired" 2 (List.length (Faults.fired run.Crashlab.faults));
       Alcotest.(check (list string)) "invariants hold" [] (Crashlab.verify run))
 
 (* --------------------------------------------------------------------- *)
@@ -146,55 +158,48 @@ let group_commit_sweep durability () =
       let base_obj, base_trig = Session.image_wals base.Crashlab.image in
       let obj_sets = boundary_sets (Wal.decode_records base_obj) in
       let trig_sets = boundary_sets (Wal.decode_records base_trig) in
-      let wal_flushes =
-        try List.assoc Faults.Wal_flush base.Crashlab.site_counts with Not_found -> 0
-      in
+      let wal_flushes = Faults.site_count base.Crashlab.faults Wal_flush in
       Alcotest.(check bool)
         (Printf.sprintf "baseline batches commits (%d flushes for %d commits)" wal_flushes
            base.Crashlab.committed)
         true
         (wal_flushes < base.Crashlab.committed);
-      let check_image plan_text image =
+      (* Both a crash and a torn flush (fsync died mid-write, then the
+         system died — Wal.flush ends it with torn_crash) leave a byte
+         prefix of the deterministic baseline log, whose committed set is
+         one of the baseline's record-boundary sets. *)
+      let batch_atomic what base sets wal =
+        let ids = committed_ids (Wal.decode_records wal) in
+        (if is_bytes_prefix wal base then [] else [ what ^ " WAL is not a baseline prefix" ])
+        @
+        if List.mem ids sets then []
+        else
+          [
+            Printf.sprintf "%s committed set {%s} splits a commit batch" what
+              (String.concat ";" (List.map string_of_int ids));
+          ]
+      in
+      let check_image image =
         let obj_wal, trig_wal = Session.image_wals image in
-        (* Both a crash and a torn flush (fsync died mid-write, then the
-           system died — Wal.flush ends it with torn_crash) leave a byte
-           prefix of the deterministic baseline log. *)
-        if not (is_bytes_prefix obj_wal base_obj) then
-          Alcotest.failf "[%s] durable objects WAL is not a baseline prefix" plan_text;
-        if not (is_bytes_prefix trig_wal base_trig) then
-          Alcotest.failf "[%s] durable triggers WAL is not a baseline prefix" plan_text;
-        let check_batch_atomic what sets wal_bytes =
-          let ids = committed_ids (Wal.decode_records wal_bytes) in
-          if not (List.mem ids sets) then
-            Alcotest.failf
-              "[%s] %s committed set {%s} splits a commit batch (not at any record boundary \
-               of the baseline log)"
-              plan_text what
-              (String.concat ";" (List.map string_of_int ids))
-        in
-        check_batch_atomic "objects" obj_sets obj_wal;
-        check_batch_atomic "triggers" trig_sets trig_wal;
+        batch_atomic "objects" base_obj obj_sets obj_wal
+        @ batch_atomic "triggers" base_trig trig_sets trig_wal
+        @
         match Session.recover image with
-        | exception e ->
-            Alcotest.failf "[%s] Session.recover raised %s" plan_text (Printexc.to_string e)
-        | env -> Credit_card.define_all env
+        | exception e -> [ "Session.recover raised " ^ Printexc.to_string e ]
+        | env ->
+            Credit_card.define_all env;
+            []
       in
       (* Crash at, and tear, every WAL flush the baseline performs. *)
-      for k = 1 to wal_flushes do
-        List.iter
-          (fun plan_text ->
-            let plan = plan_of_string plan_text in
+      let sweep =
+        Sweep.sweep ~baseline:base.Crashlab.faults
+          [ Site { site = Wal_flush; every = 1; acts = (fun _ -> [ Crash; Torn 0.5; Torn 0.9 ]) } ]
+          (fun plan ->
             let result = Crashlab.run ~config ~plan () in
-            (match result.Crashlab.outcome with
-            | Crashlab.Completed -> Alcotest.failf "[%s] planned fault never fired" plan_text
-            | Crashlab.Crashed _ -> ());
-            check_image plan_text result.Crashlab.image)
-          [
-            Printf.sprintf "crash@wal_flush:%d" k;
-            Printf.sprintf "torn(0.5)@wal_flush:%d" k;
-            Printf.sprintf "torn(0.9)@wal_flush:%d" k;
-          ]
-      done)
+            (result.Crashlab.faults, check_image result.Crashlab.image))
+      in
+      Alcotest.(check int) "three plans per WAL flush" (3 * wal_flushes) sweep.Sweep.plans;
+      no_violations sweep.Sweep.violations)
 
 let suite =
   [
@@ -206,4 +211,5 @@ let suite =
     Alcotest.test_case "crash replay is deterministic" `Quick deterministic_replay;
     Alcotest.test_case "transient faults are survivable" `Quick transient_faults_survivable;
     Alcotest.test_case "exhaustive crash + torn sweep" `Slow exhaustive_sweep;
+    Alcotest.test_case "sweep domain pinned at seed 222" `Quick sweep_domain_pinned;
   ]

@@ -902,6 +902,83 @@ let shutdown_pipelined_txns () =
     (total_acked <= !committed && !committed <= total_sent);
   Alcotest.(check bool) "some traffic actually flowed" true (total_acked > 0)
 
+(* ------------------------------------------------------------------ *)
+(* A drain answers every request it has read: the requests queued behind
+   a slow in-flight one get E_shutdown ("not executed"), not silence. *)
+
+let shutdown_answers_queued () =
+  let k = shards () in
+  let fleet = credit_fleet k in
+  let addr = fresh_addr () in
+  let path = match addr with Server.Unix_sock p -> p | Server.Tcp _ -> assert false in
+  let server = Server.start ~fleet ~listen:[ addr ] () in
+  let c = Client.connect addr in
+  let obj = Client.new_obj c ~cls:"Customer" [ ("name", Value.Str "q") ] in
+  Client.close c;
+  (* Hold every shard until the drain has begun; the server unlinks its
+     socket when it starts to drain. *)
+  let gate = Semaphore.Binary.make false in
+  for shard = 0 to k - 1 do
+    Sharded.post_foreign fleet ~shard (fun _ ->
+        Semaphore.Binary.acquire gate;
+        Semaphore.Binary.release gate)
+  done;
+  let fd = connect_raw addr in
+  let chunks = P.Chunks.create () in
+  let send ~stream sync req = send_raw fd (P.encode_request ~sync ~stream req) in
+  send ~stream:0 1 (P.Hello { magic = P.magic; version = P.version });
+  (match read_reply fd chunks with
+  | 1, P.Done (P.P_pong _) -> ()
+  | _ -> Alcotest.fail "handshake failed");
+  (* Per stream: a read in flight on its held shard, then a Ping that
+     cannot ride behind it, then a read queued behind the Ping. *)
+  let get = P.Get_field { obj; field = "name" } in
+  let streams = [ 1; 2; 3 ] in
+  List.iter
+    (fun s ->
+      send ~stream:s (10 * s) get;
+      send ~stream:s ((10 * s) + 1) P.Ping;
+      send ~stream:s ((10 * s) + 2) get)
+    streams;
+  (* A Ping on an idle stream is answered at once: when its reply is
+     back, the server has read every frame sent before it. *)
+  send ~stream:99 99 P.Ping;
+  (match read_reply fd chunks with
+  | 99, P.Done (P.P_pong _) -> ()
+  | sync, _ -> Alcotest.failf "expected the barrier Ping's reply, got sync %d" sync);
+  let opener =
+    Thread.create
+      (fun t0 ->
+        while Sys.file_exists path && Unix.gettimeofday () -. t0 < 10.0 do Thread.delay 0.005 done;
+        Semaphore.Binary.release gate)
+      (Unix.gettimeofday ())
+  in
+  let report = Server.stop server in
+  Thread.join opener;
+  let rec to_eof acc =
+    match read_reply fd chunks with
+    | reply -> to_eof (reply :: acc)
+    | exception (Failure _ | Unix.Unix_error _) -> acc
+  in
+  let replies = to_eof [] in
+  Unix.close fd;
+  Sharded.shutdown fleet;
+  Alcotest.(check bool) "reactor healthy" true (report.Server.r_failure = None);
+  Alcotest.(check int) "nothing abandoned" 0 report.Server.r_abandoned;
+  Alcotest.(check int) "queued requests dropped" 6 report.Server.r_dropped_requests;
+  Alcotest.(check int) "streams that lost work" 3 report.Server.r_dropped_streams;
+  let outcome = function
+    | P.Done (P.P_value (Value.Str "q")) -> "result"
+    | P.Fail { code = P.E_shutdown; _ } -> "shutdown"
+    | _ -> "other"
+  in
+  Alcotest.(check (list (pair int string)))
+    "exactly one reply per request read"
+    (List.concat_map
+       (fun s -> [ (10 * s, "result"); ((10 * s) + 1, "shutdown"); ((10 * s) + 2, "shutdown") ])
+       streams)
+    (List.sort compare (List.map (fun (sync, reply) -> (sync, outcome reply)) replies))
+
 let suite =
   [
     Alcotest.test_case "proto round-trip property" `Quick proto_roundtrip;
@@ -919,4 +996,6 @@ let suite =
     Alcotest.test_case "net.pipelined counts ridden requests" `Quick pipelined_counter;
     Alcotest.test_case "graceful shutdown under pipelined transactions" `Quick
       shutdown_pipelined_txns;
+    Alcotest.test_case "graceful shutdown answers queued requests" `Quick
+      shutdown_answers_queued;
   ]

@@ -22,6 +22,7 @@ module Value = Ode_objstore.Value
 module Oid = Ode_objstore.Oid
 module Intern = Ode_event.Intern
 module Faults = Ode_storage.Faults
+module Sweep = Ode_storage.Sweep
 module Cp = Ode_storage.Commit_pipeline
 
 (* ------------------------------------------------------------------ *)
@@ -609,10 +610,14 @@ let check_row ~what ~shard row =
 let fleet_crash_sweep () =
   (* Baseline: learn shard 1's WAL-flush address space and pin the final
      ledger row. Flushes during the router's final sync run on the test's
-     own domain, so the sweep stops at the last in-round flush. *)
+     own domain, so the plans are built before it: the sweep stops at the
+     last in-round flush. *)
   let planes = Array.init 2 (fun _ -> Faults.create ()) in
   let baseline = run_sweep_workload ~shard_faults:(fun i -> planes.(i)) () in
-  let flushes = Faults.site_count planes.(1) Faults.Wal_flush in
+  let plans =
+    Sweep.plans planes.(1) [ Site { site = Wal_flush; every = 1; acts = (fun _ -> [ Crash ]) } ]
+  in
+  let flushes = List.length plans in
   Sharded.sync baseline;
   (match shard_ledger_row baseline 0 with
   | Some (_, bal, deps, marks, acts) ->
@@ -626,13 +631,10 @@ let fleet_crash_sweep () =
     (Printf.sprintf "baseline exposes crash points (got %d flushes)" flushes)
     true (flushes >= sweep_rounds);
   let seen = Hashtbl.create 16 in
-  for n = 1 to flushes do
-    let what = Printf.sprintf "crash@wal_flush:%d" n in
-    let shard_faults i =
-      if i = 1 then
-        Faults.create ~plan:[ { Faults.sel = Faults.Nth (Faults.Wal_flush, n); act = Faults.Crash } ] ()
-      else Faults.create ()
-    in
+  let crash_shard_1 plan =
+    let what = Faults.plan_to_string plan in
+    let plane = Faults.create ~plan () in
+    let shard_faults i = if i = 1 then plane else Faults.create () in
     let fleet = run_sweep_workload ~shard_faults () in
     Sharded.sync fleet;
     (match Sharded.crashed_shards fleet with
@@ -676,8 +678,12 @@ let fleet_crash_sweep () =
           (what ^ ": recovered shard 1 trigger fires iff activations survived")
           (if acts1 = 3 then partial + 1 else partial)
           marks);
-    Sharded.shutdown recovered
-  done;
+    Sharded.shutdown recovered;
+    (plane, [])
+  in
+  (match Sweep.run plans crash_shard_1 with
+  | [] -> ()
+  | (plan, v) :: _ -> Alcotest.failf "[%s] %s" plan v);
   Alcotest.(check bool)
     (Printf.sprintf "sweep reached distinct ledger rows (got %d)" (Hashtbl.length seen))
     true

@@ -326,8 +326,9 @@ let cache_crash_sweep () =
   Seeds.with_seed "posting_engine.sweep" (fun seed ->
       let config = { Crashlab.default_config with Crashlab.txns = 6; seed } in
       let sweep = Crashlab.sweep ~config ~stride:11 ~torn:false () in
-      Alcotest.(check bool) "sweep has crash points" true (sweep.Crashlab.sw_points > 0);
-      match sweep.Crashlab.sw_violations with
+      Alcotest.(check bool) "sweep has crash points" true
+        (Ode_storage.Faults.point sweep.Ode_storage.Sweep.baseline > 0);
+      match sweep.Ode_storage.Sweep.violations with
       | [] -> ()
       | (plan, violation) :: _ ->
           Alcotest.failf "cache broke recovery: %s (replay: --fault-plan '%s')" violation plan)

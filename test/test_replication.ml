@@ -20,6 +20,8 @@ module Value = Ode_objstore.Value
 module Replication = Ode_replication.Replication
 module Replay = Ode_replication.Replication.Replay
 module Crashfleet = Ode_replication.Crashfleet
+module Faults = Ode_storage.Faults
+module Sweep = Ode_storage.Sweep
 
 let b = Bytes.of_string
 
@@ -307,6 +309,14 @@ let promote_preserves_state () =
   Alcotest.(check int)
     "no truncated tail" 0
     promo.Replication.pm_report.Session.rr_obj_tail;
+  (* The promoted-away primary never ships again: a late commit on it
+     reaches no replica and is never quorum-acked. *)
+  let offsets = Replication.replica_offsets mgr 0 in
+  let deposit txn = ignore (Session.invoke env txn card "Dep" [ Value.Int 1 ]); txn in
+  let late = Session.with_txn env deposit in
+  Session.sync env;
+  Alcotest.(check (pair int int)) "not shipped" offsets (Replication.replica_offsets mgr 0);
+  Alcotest.(check bool) "late commit never quorum-acked" false (Txn.durably_acked late);
   let env2 = promo.Replication.pm_session in
   let card2 = List.hd (Session.cluster env2 ~cls:"Acct") in
   let promoted_state =
@@ -388,29 +398,65 @@ let promote_keeps_settings () =
 (* ------------------------------------------------------------------ *)
 (* The Crashfleet sweep: the centerpiece. *)
 
-let fleet_sweep () =
-  Seeds.with_seed "replication.fleet_sweep" @@ fun seed ->
-  let config = { Crashfleet.default_config with seed } in
-  let result = Crashfleet.sweep ~config () in
-  Alcotest.(check bool)
-    "flush points explored" true
-    (result.Crashfleet.sw_flush_points > 5);
-  Alcotest.(check bool)
-    "ship points explored" true
-    (result.Crashfleet.sw_ship_points > 5);
-  Alcotest.(check int)
-    "every armed point killed the primary"
-    (result.Crashfleet.sw_flush_points + result.Crashfleet.sw_ship_points)
-    result.Crashfleet.sw_downed;
-  match result.Crashfleet.sw_violations with
+let no_violations what = function
   | [] -> ()
   | (plan, v) :: _ as all ->
-      Alcotest.failf "%d violations; first: [%s] %s (seed %d)" (List.length all)
-        plan v seed
+      Alcotest.failf "%s: %d violations; first: [%s] %s" what (List.length all) plan v
+
+(* [pin] fixes the sweep's domain, the workload's WAL-flush and ship
+   points after setup; without it both must exceed 5. A plan that fires
+   nowhere, or fires without downing the primary, is a violation: no
+   violation means every point killed the primary. *)
+let check_fleet_sweep ?pin seed =
+  let result = Crashfleet.sweep ~config:{ Crashfleet.default_config with seed } () in
+  let what = Printf.sprintf "seed %d" seed in
+  let flushes = Faults.site_count result.Sweep.baseline Wal_flush in
+  let ships = Faults.site_count result.Sweep.baseline Ship in
+  (match pin with
+  | Some pin -> Alcotest.(check (pair int int)) (what ^ " points") pin (flushes, ships)
+  | None -> Alcotest.(check bool) (what ^ " points explored") true (flushes > 5 && ships > 5));
+  Alcotest.(check int) (what ^ " one plan per point") (flushes + ships) result.Sweep.plans;
+  no_violations what result.Sweep.violations
+
+let fleet_sweep () = Seeds.with_seed "replication.fleet_sweep" check_fleet_sweep
+
+let fleet_sweep_pinned () =
+  List.iter
+    (fun (seed, pin) -> check_fleet_sweep ~pin seed)
+    [ (222, (7, 14)); (4242, (8, 16)); (90210, (8, 16)) ]
+
+(* A ship point is an ordinary fault site: its plans round-trip through
+   the plan syntax, and a failed send is lost and its range ships with
+   the next flush (fleet_multi_seed tears one). *)
+let ship_site () =
+  let plan = Result.get_ok (Faults.plan_of_string "crash@ship:3") in
+  Alcotest.(check bool) "parses to Nth (Ship, 3)" true
+    (plan = [ { Faults.sel = Nth (Ship, 3); act = Crash } ]);
+  Alcotest.(check string) "prints back" "crash@ship:3" (Faults.plan_to_string plan);
+  let faults = Faults.create () in
+  let env = Session.create ~store:`Disk ~faults () in
+  Crashfleet.define_schema env;
+  let mgr = Replication.attach ~replicas:1 env in
+  Faults.reset faults;
+  Faults.arm faults [ { Faults.sel = Nth (Ship, 1); act = Fail } ];
+  let deposit () =
+    Session.with_txn env (fun txn ->
+        ignore (Session.pnew env txn ~cls:"Acct" ~init:[ ("idx", Value.Int 0) ] ()))
+  in
+  let shipped () = fst (Replication.replica_offsets mgr 0) in
+  let before = shipped () in
+  deposit ();
+  Alcotest.(check int) "failed send delivered nothing" before (shipped ());
+  deposit ();
+  let objects, _ = Session.stores env in
+  Alcotest.(check int) "next send carries the lost range" (Wal.durable_size objects.Store.wal)
+    (shipped ())
 
 (* Differential vs the sequential oracle across extra seeds (the CI
    matrix re-runs the whole suite under three fixed ODE_TEST_SEED
-   values; this keeps a single run multi-seed too). *)
+   values; this keeps a single run multi-seed too): one kill mid-way
+   through the WAL flushes, one mid-way through the ship points, and a
+   torn send there, which downs the primary like a crash. *)
 let fleet_multi_seed () =
   Seeds.with_seed "replication.fleet_multi_seed" @@ fun base ->
   List.iter
@@ -418,27 +464,17 @@ let fleet_multi_seed () =
       let seed = base + offset in
       let config = { Crashfleet.default_config with seed; replicas = 3; quorum = 2 } in
       let oracle = Crashfleet.oracle_run config in
-      let baseline = Crashfleet.run ~oracle ~config `None in
-      (match baseline.Crashfleet.r_violations with
+      let baseline, violations = Crashfleet.run ~oracle ~config [] in
+      (match violations with
       | [] -> ()
       | v :: _ -> Alcotest.failf "seed %d baseline: %s" seed v);
-      List.iter
-        (fun plan ->
-          let r = Crashfleet.run ~oracle ~config plan in
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %d %s downs the primary" seed
-               (Crashfleet.plan_to_string plan))
-            true r.Crashfleet.r_downed;
-          match r.Crashfleet.r_violations with
-          | [] -> ()
-          | v :: _ ->
-              Alcotest.failf "seed %d %s: %s" seed
-                (Crashfleet.plan_to_string plan)
-                v)
-        [
-          `Flush (max 1 (baseline.Crashfleet.r_flush_points / 2));
-          `Ship (max 1 (baseline.Crashfleet.r_ship_points / 2));
-        ])
+      let mid site act =
+        [ { Faults.sel = Nth (site, max 1 (Faults.site_count baseline site / 2)); act } ]
+      in
+      no_violations (Printf.sprintf "seed %d" seed)
+        (Sweep.run
+           [ mid Wal_flush Crash; mid Ship Crash; mid Ship (Torn 0.5) ]
+           (Crashfleet.run ~oracle ~config)))
     [ 1; 2 ]
 
 let suite =
@@ -455,5 +491,7 @@ let suite =
     Alcotest.test_case "promotion preserves state" `Quick promote_preserves_state;
     Alcotest.test_case "promotion keeps the primary's settings" `Quick promote_keeps_settings;
     Alcotest.test_case "fleet crash sweep" `Quick fleet_sweep;
+    Alcotest.test_case "fleet sweep domain pinned" `Quick fleet_sweep_pinned;
+    Alcotest.test_case "ship is a fault site" `Quick ship_site;
     Alcotest.test_case "fleet multi-seed differential" `Quick fleet_multi_seed;
   ]
