@@ -453,6 +453,22 @@ let demo_cmd =
 (* ------------------------------------------------------------------ *)
 (* odectl stats *)
 
+module Net_server = Ode_net.Server
+module Net_client = Ode_net.Client
+
+(* Run [f] on a client connected to the server at [addr]; a bad address
+   exits as a usage error, a refused connection or handshake as a
+   failure. *)
+let with_client addr f =
+  match Net_server.addr_of_string addr with
+  | Error m -> usage_die "bad address: %s" m
+  | Ok a -> (
+      match Net_client.connect a with
+      | exception Net_client.Net_error m -> die "%s" m
+      | exception Net_client.Remote { code; msg } ->
+          die "handshake rejected (%s): %s" (Ode_net.Proto.err_code_name code) msg
+      | c -> Fun.protect ~finally:(fun () -> Net_client.close c) (fun () -> f c))
+
 let stats_cmd =
   (* Every session counter, once, under one header line. *)
   let print_value (k, v) = Printf.printf "  %-36s %d\n" k v in
@@ -535,8 +551,20 @@ let stats_cmd =
     Sharded.shutdown fleet;
     match List.assoc "fleet.failed" counters with 0 -> 0 | n -> die "%d task(s) failed" n
   in
-  let run store engine durability rounds shards smode_text per_shard replication mvcc capacity =
+  (* A running server's registry, fetched with one wire [Stats] request. *)
+  let run_connect addr =
+    with_client addr (fun c ->
+        let counters = Net_client.stats c in
+        Printf.printf "server counters (%s)\n" addr;
+        List.iter print_value counters;
+        0)
+  in
+  let run store engine durability rounds shards smode_text per_shard replication mvcc capacity
+      connect =
     let kind = match store with "disk" -> `Disk | _ -> `Mem in
+    match connect with
+    | Some addr -> run_connect addr
+    | None ->
     match
       match engine with
       | "reference" -> Some Ode_trigger.Runtime.reference_config
@@ -664,17 +692,20 @@ let stats_cmd =
                  16 KiB of WAL growth), and checkpoint at the end when unsharded, so the \
                  WAL segment, checkpoint-chain and auto-checkpoint counters move.")
   in
+  let connect =
+    Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"ADDR"
+           ~doc:"Run no workload: print the registry of the server at ADDR (unix:PATH or \
+                 tcp:HOST:PORT), its net.* counters included. The other flags are ignored.")
+  in
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Run a credit-card posting workload and print every session counter")
+       ~doc:"Run a credit-card posting workload and print every session counter, or print \
+             a running server's counters")
     Term.(const run $ store $ engine $ durability $ rounds $ shards $ smode $ per_shard
-          $ replication $ mvcc $ capacity)
+          $ replication $ mvcc $ capacity $ connect)
 
 (* ------------------------------------------------------------------ *)
 (* odectl serve / odectl ping *)
-
-module Net_server = Ode_net.Server
-module Net_client = Ode_net.Client
 
 let parse_listen s =
   let rec go acc = function
@@ -812,21 +843,13 @@ let serve_cmd =
 
 let ping_cmd =
   let run addr do_shutdown =
-    match Net_server.addr_of_string addr with
-    | Error m -> usage_die "bad address: %s" m
-    | Ok a -> (
-        match Net_client.connect a with
-        | exception Net_client.Net_error m -> die "%s" m
-        | exception Net_client.Remote { code; msg } ->
-            die "handshake rejected (%s): %s" (Ode_net.Proto.err_code_name code) msg
-        | c ->
-            let t0 = Unix.gettimeofday () in
-            Net_client.ping c;
-            let dt = (Unix.gettimeofday () -. t0) *. 1e3 in
-            Printf.printf "PONG from %s (%.2f ms)\n" addr dt;
-            if do_shutdown then Net_client.shutdown c;
-            Net_client.close c;
-            0)
+    with_client addr (fun c ->
+        let t0 = Unix.gettimeofday () in
+        Net_client.ping c;
+        let dt = (Unix.gettimeofday () -. t0) *. 1e3 in
+        Printf.printf "PONG from %s (%.2f ms)\n" addr dt;
+        if do_shutdown then Net_client.shutdown c;
+        0)
   in
   let addr =
     Arg.(required & pos 0 (some string) None

@@ -227,10 +227,16 @@ let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush
 
 (* Drain both stores' group-commit pipelines: force any queued batches and
    resolve every deferred durability ack. Each pipeline is independent, so
-   the order does not matter; objects first matches creation order. *)
+   an injected fault in one must not strand the other's batch: both are
+   attempted, then the first fault is re-raised. *)
 let sync t =
-  Commit_pipeline.flush t.obj_store.Store.pipeline;
-  Commit_pipeline.flush t.trig_store.Store.pipeline
+  let first = ref None in
+  List.iter
+    (fun store ->
+      try Commit_pipeline.flush store.Store.pipeline
+      with Faults.Injected_fault _ as fault -> if !first = None then first := Some fault)
+    [ t.obj_store; t.trig_store ];
+  Option.iter raise !first
 
 (* ------------------------------------------------------------------ *)
 (* Class definition: the work the O++ compiler does per class. *)
@@ -695,10 +701,10 @@ let posting_plan t ~cls mname =
 (* ------------------------------------------------------------------ *)
 (* Persistent object operations. *)
 
-(* One store read of the object's record bytes: inside a certified
-   snapshot-safe firing the lock-free read-committed variant is used — no
-   S lock, and the (suppressed) read note keeps the observed S set
-   empty. *)
+(* The object's record bytes through the transaction's object cursor:
+   inside a certified snapshot-safe firing an object the transaction has
+   not touched is read with the lock-free read-committed variant — no S
+   lock, and the (suppressed) read note keeps the observed S set empty. *)
 let payload t txn oid =
   Database.payload t.db txn oid ~committed:(Runtime.lock_free_reads_active t.rt)
 

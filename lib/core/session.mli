@@ -147,8 +147,10 @@ val sync : t -> unit
     are materialised and flushed, and every deferred durability ack is
     resolved. A no-op under [Immediate] durability (nothing is ever
     queued). Call before {!crash} when a test needs deferred commits to
-    be durable, or at the end of a batch workload. Propagates injected
-    WAL-flush faults like an ordinary commit-time flush would. *)
+    be durable, or at the end of a batch workload. Unlike a commit-time
+    flush, which swallows an injected fault as delayed durability, [sync]
+    raises it: both pipelines are attempted first, then the first
+    {!Ode_storage.Faults.Injected_fault} is re-raised. *)
 
 val define_class :
   t ->

@@ -537,8 +537,9 @@ let handle_frame t conn body =
         pump_stream t conn st
       end
 
-(* Drop every queued request of [conn], answering each "not executed"
-   (a no-op on a dead connection, whose outbox is gone). *)
+(* Drop every queued request of [conn], answering each "not executed".
+   A dead connection's outbox is gone, so nothing is encoded for it;
+   [c_dead] is only set on the reactor, where this runs. *)
 let drop_queued t conn =
   Hashtbl.iter
     (fun _ st ->
@@ -546,8 +547,10 @@ let drop_queued t conn =
       if n > 0 then begin
         t.dr_dropped_requests <- t.dr_dropped_requests + n;
         t.dr_dropped_streams <- t.dr_dropped_streams + 1;
-        let not_executed = fail_ P.E_shutdown "not executed: server shutting down" in
-        Queue.iter (fun p -> enqueue_reply conn ~sync:p.p_sync not_executed) st.st_queue;
+        if not conn.c_dead then begin
+          let not_executed = fail_ P.E_shutdown "not executed: server shutting down" in
+          Queue.iter (fun p -> enqueue_reply conn ~sync:p.p_sync not_executed) st.st_queue
+        end;
         Queue.clear st.st_queue
       end)
     conn.c_streams;

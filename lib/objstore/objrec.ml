@@ -60,7 +60,11 @@ let decode bytes =
    string, then a counted list of (name, value) pairs). Only the class or
    the one field asked for is built. *)
 
-let cls_of_payload bytes = Binc.read_string (Binc.reader bytes)
+let cls_of_payload bytes =
+  (* A name shorter than 128 bytes has a one-byte length: no reader. *)
+  let len = if Bytes.length bytes > 0 then Char.code (Bytes.get bytes 0) else 0x80 in
+  if len < 0x80 && len < Bytes.length bytes then Bytes.sub_string bytes 1 len
+  else Binc.read_string (Binc.reader bytes)
 
 let rec find_field r name remaining =
   if remaining = 0 then raise Not_found

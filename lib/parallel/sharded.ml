@@ -492,7 +492,15 @@ let rec drain t =
 let sync t =
   check_live t "sync";
   drain t;
-  Array.iter (fun sh -> if sh.sh_crashed = None then Session.sync sh.sh_session) t.shards
+  (* Every live shard is forced; the first fault is re-raised after. *)
+  let first = ref None in
+  Array.iter
+    (fun sh ->
+      if sh.sh_crashed = None then
+        try Session.sync sh.sh_session
+        with Faults.Injected_fault _ as e -> if !first = None then first := Some e)
+    t.shards;
+  Option.iter raise !first
 
 let crashed_shards t =
   Array.to_list t.shards

@@ -152,10 +152,13 @@ module Make (P : PHYS) = struct
 
   let version_ts_impl t rid = fst (Mvcc.latest t.chains rid)
 
-  let update_impl t (txn : Txn.t) rid payload =
+  let lock_write_impl t (txn : Txn.t) rid =
     check_usable t;
     check_writable t txn;
-    lock t txn rid Lock_manager.X;
+    lock t txn rid Lock_manager.X
+
+  let update_impl t (txn : Txn.t) rid payload =
+    lock_write_impl t txn rid;
     match P.find t.phys rid with
     | None -> fail "update of unknown record %a" Rid.pp rid
     | Some before ->
@@ -432,6 +435,7 @@ module Make (P : PHYS) = struct
       insert = insert_impl t;
       read = read_impl t;
       update = update_impl t;
+      lock_write = lock_write_impl t;
       delete = delete_impl t;
       iter = iter_impl t;
       read_committed = read_committed_impl t;

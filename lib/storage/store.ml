@@ -7,6 +7,7 @@ type t = {
   insert : Txn.t -> bytes -> Rid.t;
   read : Txn.t -> Rid.t -> bytes option;
   update : Txn.t -> Rid.t -> bytes -> unit;
+  lock_write : Txn.t -> Rid.t -> unit;
   delete : Txn.t -> Rid.t -> unit;
   iter : Txn.t -> (Rid.t -> bytes -> unit) -> unit;
   read_committed : Txn.t -> Rid.t -> int * bytes option;

@@ -36,6 +36,11 @@ type t = {
       (** S lock under a regular transaction; lock-free snapshot
           resolution at the pinned timestamp under a snapshot one. *)
   update : Txn.t -> Rid.t -> bytes -> unit;
+  lock_write : Txn.t -> Rid.t -> unit;
+      (** Take the record's X lock for a write that a layer above stages
+          until commit-prepare (the object cursor of
+          {!Ode_objstore.Database}): the checks, [lock_acquire] fault
+          point and blocking of [update], with no change to the record. *)
   delete : Txn.t -> Rid.t -> unit;
   iter : Txn.t -> (Rid.t -> bytes -> unit) -> unit;
       (** Iterate every live record: under shared locks (regular), or

@@ -2,6 +2,9 @@ module Metrics = Ode_util.Metrics
 
 type state = Active | Committed | Aborted
 
+type cursor = ..
+type cursor += No_cursor
+
 type t = {
   id : int;
   system : bool;
@@ -12,6 +15,7 @@ type t = {
   mutable unacked : int;
   mutable commit_ts : int;  (* -1 until stamped by the commit pipeline *)
   mutable snapshot_ts : int;  (* -1 until pinned at first snapshot read *)
+  mutable cursor : cursor;
 }
 
 and participant = {
@@ -69,7 +73,7 @@ let begin_txn ?(system = false) ?(snapshot = false) mgr =
   Metrics.incr mgr.begun;
   if system then Metrics.incr mgr.system_begun;
   { id; system; snapshot; mgr; state = Active; deps = []; unacked = 0; commit_ts = -1;
-    snapshot_ts = -1 }
+    snapshot_ts = -1; cursor = No_cursor }
 
 (* -------------------- MVCC commit clock and snapshots -------------------- *)
 
@@ -118,6 +122,8 @@ let gc_watermark mgr =
 let oldest_snapshot_lag mgr =
   match oldest_snapshot mgr with Some ts -> mgr.commit_clock - ts | None -> 0
 
+let set_cursor t cursor = t.cursor <- cursor
+
 let is_active t = t.state = Active
 
 let check_active t =
@@ -127,6 +133,7 @@ let check_active t =
 let finish t state =
   t.state <- state;
   t.deps <- [];
+  t.cursor <- No_cursor;
   Hashtbl.remove t.mgr.live_snapshots t.id;
   Lock_manager.release_all t.mgr.lock_mgr ~txn:t.id
 

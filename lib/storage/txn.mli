@@ -16,6 +16,12 @@
 
 type state = Active | Committed | Aborted
 
+type cursor = ..
+(** State a layer above the stores keeps per transaction, found with no
+    table lookup ({!Ode_objstore.Database}'s object cursor). *)
+
+type cursor += No_cursor
+
 type t = private {
   id : int;
   system : bool;
@@ -30,6 +36,7 @@ type t = private {
   mutable unacked : int;  (** durability acks still deferred (see {!durably_acked}) *)
   mutable commit_ts : int;  (** MVCC commit timestamp; -1 until stamped *)
   mutable snapshot_ts : int;  (** pinned snapshot timestamp; -1 until first read *)
+  mutable cursor : cursor;  (** [No_cursor] until set; dropped when it finishes *)
 }
 
 and participant = {
@@ -115,6 +122,8 @@ val abort : t -> unit
 val add_dependency : t -> on:t -> unit
 (** [add_dependency t ~on] makes [t]'s commit conditional on [on] having
     committed. *)
+
+val set_cursor : t -> cursor -> unit
 
 val is_active : t -> bool
 val check_active : t -> unit

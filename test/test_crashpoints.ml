@@ -92,7 +92,7 @@ let check_sweep ?pin config =
   no_violations sweep.Sweep.violations
 
 let exhaustive_sweep () = Seeds.with_seed "crashpoints.sweep" (fun s -> check_sweep (config s))
-let sweep_domain_pinned () = check_sweep ~pin:(325, 346) { Crashlab.default_config with txns = 12 }
+let sweep_domain_pinned () = check_sweep ~pin:(201, 222) { Crashlab.default_config with txns = 12 }
 
 let transient_faults_survivable () =
   Seeds.with_seed "crashpoints.transient" (fun seed ->

@@ -279,6 +279,47 @@ let group_crash_recovery () =
       Alcotest.(check (float 0.001)) "all synced purchases recovered" 1100.0
         (Credit_card.balance env' txn card))
 
+(* [sync] forces both pipelines even when the first one's flush faults:
+   the trigger store's queued batch must not wait behind the object
+   store's failure. *)
+let sync_survives_a_fault () =
+  let mode = Commit_pipeline.Group { max_batch = 100; max_delay_ticks = 1000 } in
+  let env = Session.create ~store:`Disk ~durability:mode () in
+  Credit_card.define_all env;
+  let card =
+    Session.with_txn env (fun txn ->
+        let customer = Credit_card.new_customer env txn ~name:"s" in
+        Credit_card.new_card env txn ~customer ~limit:100.0 ())
+  in
+  Session.sync env;
+  let commit f =
+    let txn = Session.begin_txn env in
+    f txn;
+    Session.commit env txn;
+    txn
+  in
+  (* One object-store commit, then trigger-store-only commits. *)
+  ignore (commit (fun txn -> Session.set_field env txn card "currBal" (Value.Float 1.0)));
+  let trigger_txns =
+    List.init 3 (fun _ ->
+        commit (fun txn -> ignore (Session.activate env txn card ~trigger:"DenyCredit" ~args:[])))
+  in
+  List.iter
+    (fun txn -> Alcotest.(check bool) "queued, not yet acked" false (Txn.durably_acked txn))
+    trigger_txns;
+  let faults = Session.faults env in
+  Ode_storage.Faults.reset faults;
+  Ode_storage.Faults.arm faults
+    (match Ode_storage.Faults.plan_of_string "fail@wal_flush:1" with
+    | Ok plan -> plan
+    | Error msg -> Alcotest.fail msg);
+  (match Session.sync env with
+  | () -> Alcotest.fail "sync swallowed the injected fault"
+  | exception Ode_storage.Faults.Injected_fault _ -> ());
+  List.iter
+    (fun txn -> Alcotest.(check bool) "trigger-store commit acked" true (Txn.durably_acked txn))
+    trigger_txns
+
 (* ------------------------------------------------------------------ *)
 
 (* Seeded ack-ordering property: interleave commits on Group, Async and
@@ -398,5 +439,6 @@ let suite =
     Alcotest.test_case "checkpoint drains the pipeline" `Quick checkpoint_drains;
     Alcotest.test_case "mode differential (seeded)" `Quick mode_differential;
     Alcotest.test_case "group-mode crash recovery" `Quick group_crash_recovery;
+    Alcotest.test_case "sync flushes both stores past a fault" `Quick sync_survives_a_fault;
     Alcotest.test_case "quorum ack ordering (seeded)" `Quick quorum_ack_order;
   ]

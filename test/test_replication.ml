@@ -368,7 +368,7 @@ let promote_keeps_settings () =
       Session.with_txn env (fun txn ->
           Session.pnew env txn ~cls:"Acct" ~init:[ ("idx", Value.Int 0); ("bal", Value.Int 0) ] ())
     in
-    for i = 1 to 40 do
+    for i = 1 to 80 do
       Session.with_txn env (fun txn -> ignore (Session.invoke env txn acct "Dep" [ Value.Int i ]))
     done;
     Session.sync env

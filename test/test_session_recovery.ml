@@ -235,7 +235,7 @@ let recovery_keeps_settings kind () =
   in
   let buys = ref 0 in
   let run env =
-    for _ = 1 to 100 do
+    for _ = 1 to 200 do
       Session.with_txn env (fun txn -> Credit_card.buy env txn card ~merchant ~amount:1.0);
       incr buys
     done;
