@@ -88,7 +88,19 @@ let open_existing_rebuilds () =
      clusters by scanning. *)
   let db2 = Database.open_existing ~mgr ~store ~name:"d2" in
   Alcotest.(check int) "persons" 1 (List.length (Database.cluster db2 ~cls:"Person"));
-  Alcotest.(check int) "pets" 1 (List.length (Database.cluster db2 ~cls:"Pet"))
+  Alcotest.(check int) "pets" 1 (List.length (Database.cluster db2 ~cls:"Pet"));
+  (* The views share a manager, but a transaction's cursor serves one. *)
+  let oid = List.hd (Database.cluster db ~cls:"Person") in
+  let txn = Txn.begin_txn mgr in
+  Database.set_field db txn oid "name" (Value.Str "y");
+  (match Database.get_field db2 txn oid "name" with
+  | _ -> Alcotest.fail "a second database read through the first one's cursor"
+  | exception Invalid_argument _ -> ());
+  Txn.commit txn;
+  let txn = Txn.begin_txn mgr in
+  Alcotest.(check string) "committed through the first" "y"
+    (Value.to_str (Database.get_field db2 txn oid "name"));
+  Txn.commit txn
 
 let volatile_copies () =
   (* The paper's *pers = *ppers / *ppers = *pers assignments. *)
